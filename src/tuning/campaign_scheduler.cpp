@@ -1,9 +1,7 @@
 #include "tuning/campaign_scheduler.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -15,47 +13,34 @@ namespace {
 
 struct CampaignState;
 
-/// One (campaign, pass) pair as a resumable strand. The state machine
-/// mirrors run_tuning_loop() + the repetition phase of run_campaign()
-/// exactly — same calls on its own tuner/objective in the same order — so
-/// the per-pass result is bit-identical to the solo driver by
-/// construction. All mutable state lives in the strand; the StrandPool
-/// guarantees a strand never runs concurrently with itself.
+/// One (campaign, pass) pair as a resumable strand: an adapter that builds
+/// the pass's tuner and objective on its first step, then advances its
+/// PassRun one step per call — the same calls, in the same order, as the
+/// solo drivers, so the per-pass result is bit-identical to them by
+/// construction. The StrandPool never runs a strand concurrently with
+/// itself.
 class PassStrand : public Strand {
  public:
   PassStrand(CampaignState& campaign, std::size_t pass)
-      : campaign_(campaign), pass_(pass) {}
+      : campaign_(campaign), pass_(pass) {
+    run_.rep_streams = true;
+  }
 
   bool step() override;
 
   int steal_preference() const override {
-    // Simulation-phase steps (evaluations and repetitions) migrate
-    // cheaply; suggest steps prefer their home worker's warm caches. The
-    // init step builds the tuner/objective — unplaced state, free to move.
-    return phase_ == Phase::kSuggest ? 0 : 1;
+    // Suggest steps prefer their home worker's warm caches; simulation
+    // steps (evaluations, repetitions) and the init step (unplaced state)
+    // migrate freely.
+    return tuner_ != nullptr && run_.phase == PassPhase::kSuggest ? 0 : 1;
   }
 
  private:
-  enum class Phase { kInit, kSuggest, kEvaluate, kReps };
-
-  void finish_tuning_loop();
-  bool finish_pass();  // returns false: the strand is done
-
   CampaignState& campaign_;
   std::size_t pass_;
-  Phase phase_ = Phase::kInit;
-
   std::unique_ptr<Tuner> tuner_;
   std::unique_ptr<Objective> objective_;
-  std::unique_ptr<Objective> rep_clone_;
-
-  ExperimentResult result_;
-  std::optional<sim::TopologyConfig> pending_config_;
-  double pending_suggest_seconds_ = 0.0;
-  std::size_t step_index_ = 0;  // 1-based, like run_tuning_loop
-  std::size_t zero_streak_ = 0;
-  double total_suggest_ = 0.0;
-  std::size_t rep_ = 0;
+  PassRun run_;
 };
 
 /// Shared per-campaign bookkeeping: pass results land here and the LAST
@@ -72,19 +57,9 @@ struct CampaignState {
   ResultSink* sink = nullptr;
 };
 
-/// The gather of run_campaign(): winning pass by repetition mean (or best
-/// single measurement when reps are off), first-pass-wins on ties.
+/// The campaign result: its winning pass, to the output slot and the sink.
 void gather_campaign(CampaignState& c) {
-  const bool use_reps = c.spec->options.best_config_reps > 0;
-  std::size_t win = 0;
-  for (std::size_t pass = 1; pass < c.pass_results.size(); ++pass) {
-    const double score = use_reps ? c.pass_results[pass].best_rep_stats.mean
-                                  : c.pass_results[pass].best_throughput;
-    const double best = use_reps ? c.pass_results[win].best_rep_stats.mean
-                                 : c.pass_results[win].best_throughput;
-    if (score > best) win = pass;
-  }
-  *c.final_slot = c.pass_results[win];
+  *c.final_slot = c.pass_results[winning_pass(c.pass_results)];
   if (c.sink != nullptr) {
     CampaignOutcome outcome;
     outcome.ticket = c.ticket;
@@ -95,119 +70,23 @@ void gather_campaign(CampaignState& c) {
 }
 
 bool PassStrand::step() {
-  const ExperimentOptions& options = campaign_.spec->options;
-  switch (phase_) {
-    case Phase::kInit: {
-      tuner_ = campaign_.spec->make_tuner(pass_);
-      STORMTUNE_REQUIRE(tuner_ != nullptr,
-                        "run_campaigns: tuner factory returned null");
-      objective_ = campaign_.spec->make_objective(pass_);
-      STORMTUNE_REQUIRE(objective_ != nullptr,
-                        "run_campaigns: objective factory returned null");
-      STORMTUNE_REQUIRE(options.max_steps > 0,
-                        "run_campaigns: max_steps must be > 0");
-      result_.strategy = tuner_->name();
-      phase_ = Phase::kSuggest;
-      return true;
-    }
-    case Phase::kSuggest: {
-      const auto t0 = std::chrono::steady_clock::now();
-      std::optional<sim::TopologyConfig> config = tuner_->next();
-      const auto t1 = std::chrono::steady_clock::now();
-      if (!config) {
-        finish_tuning_loop();
-        return phase_ == Phase::kReps ? true : finish_pass();
-      }
-      pending_config_ = std::move(config);
-      pending_suggest_seconds_ =
-          std::chrono::duration<double>(t1 - t0).count();
-      ++step_index_;
-      phase_ = Phase::kEvaluate;
-      return true;
-    }
-    case Phase::kEvaluate: {
-      const double throughput = objective_->evaluate(*pending_config_);
-      tuner_->report(*pending_config_, throughput);
-
-      StepRecord rec;
-      rec.step = step_index_;
-      rec.throughput = throughput;
-      rec.suggest_seconds = pending_suggest_seconds_;
-      total_suggest_ += rec.suggest_seconds;
-      result_.max_suggest_seconds =
-          std::max(result_.max_suggest_seconds, rec.suggest_seconds);
-      result_.trace.push_back(rec);
-
-      if (throughput > result_.best_throughput) {
-        result_.best_throughput = throughput;
-        result_.best_config = *pending_config_;
-        result_.best_step = step_index_;
-      }
-
-      bool stop = step_index_ >= options.max_steps;
-      if (throughput <= 0.0) {
-        if (++zero_streak_ >= options.zero_streak_stop &&
-            options.zero_streak_stop > 0) {
-          stop = true;
-        }
-      } else {
-        zero_streak_ = 0;
-      }
-      if (stop) {
-        finish_tuning_loop();
-        return phase_ == Phase::kReps ? true : finish_pass();
-      }
-      phase_ = Phase::kSuggest;
-      return true;
-    }
-    case Phase::kReps: {
-      // One repetition per step — the steal granularity of the rep phase.
-      // With clone_stream support, rep r evaluates on a clone bound to
-      // stream r (a rebound clone is bit-identical to a fresh one), so the
-      // value is a pure function of (pass, rep) exactly as in the parallel
-      // run_campaign(). Without it, reps continue the pass objective's own
-      // sequence — the serial run_experiment() semantics.
-      if (rep_ == 0) rep_clone_ = objective_->clone_stream(0);
-      double value;
-      if (rep_clone_) {
-        if (rep_ > 0 && !rep_clone_->rebind_stream(rep_)) {
-          rep_clone_ = objective_->clone_stream(rep_);
-          STORMTUNE_REQUIRE(rep_clone_ != nullptr,
-                            "run_campaigns: clone_stream failed mid-phase");
-        }
-        value = rep_clone_->evaluate(result_.best_config);
-      } else {
-        value = objective_->evaluate(result_.best_config);
-      }
-      result_.best_rep_values[rep_] = value;
-      if (++rep_ < options.best_config_reps) return true;
-      result_.best_rep_stats = summarize(result_.best_rep_values);
-      return finish_pass();
-    }
+  const CampaignSpec& spec = *campaign_.spec;
+  if (tuner_ == nullptr) {
+    tuner_ = spec.make_tuner(pass_);
+    STORMTUNE_REQUIRE(tuner_ != nullptr,
+                      "run_campaigns: tuner factory returned null");
+    objective_ = spec.make_objective(pass_);
+    STORMTUNE_REQUIRE(objective_ != nullptr,
+                      "run_campaigns: objective factory returned null");
+    return true;
   }
-  STORMTUNE_REQUIRE(false, "run_campaigns: corrupt strand phase");
-  return false;
-}
+  if (advance_pass(run_, *tuner_, *objective_, spec.options)) return true;
 
-void PassStrand::finish_tuning_loop() {
-  STORMTUNE_REQUIRE(!result_.trace.empty(),
-                    "run_campaigns: tuner proposed nothing");
-  result_.mean_suggest_seconds =
-      total_suggest_ / static_cast<double>(result_.trace.size());
-  const ExperimentOptions& options = campaign_.spec->options;
-  if (options.best_config_reps > 0 && result_.best_step > 0) {
-    result_.best_rep_values.assign(options.best_config_reps, 0.0);
-    phase_ = Phase::kReps;
-  }
-}
-
-bool PassStrand::finish_pass() {
   // Release the heavyweight per-pass state before the (possibly much
   // later) campaign gather; the results vector is all that must survive.
+  campaign_.pass_results[pass_] = std::move(run_.result);
   tuner_.reset();
   objective_.reset();
-  rep_clone_.reset();
-  campaign_.pass_results[pass_] = std::move(result_);
   if (campaign_.passes_remaining.fetch_sub(1, std::memory_order_seq_cst) ==
       1) {
     gather_campaign(campaign_);
@@ -235,6 +114,8 @@ MultiCampaignResult run_campaigns(const std::vector<CampaignSpec>& specs,
     STORMTUNE_REQUIRE(spec.passes > 0, "run_campaigns: passes must be > 0");
     STORMTUNE_REQUIRE(spec.make_tuner && spec.make_objective,
                       "run_campaigns: campaign is missing a factory");
+    STORMTUNE_REQUIRE(spec.options.max_steps > 0,
+                      "run_campaigns: max_steps must be > 0");
     auto c = std::make_unique<CampaignState>();
     c->spec = &spec;
     c->ticket = i;

@@ -3,9 +3,10 @@
 //
 // The ROADMAP north-star is a tuning *service* — thousands of concurrent
 // campaigns sharing one box — rather than the paper's one-campaign-at-a-
-// time runs. run_campaigns() decomposes every (campaign, pass) pair into a
-// resumable strand whose steps alternate between the two phase types with
-// opposite hardware appetites:
+// time runs. run_campaigns() wraps every (campaign, pass) pair in a
+// resumable strand — a thin adapter that advances the pass's PassRun
+// (experiment.hpp) one advance_pass() step per strand step — whose steps
+// alternate between the two phase types with opposite hardware appetites:
 //
 //   * suggest  — the BO proposal (dense linalg, wide-ISA bound; profits
 //                from staying on one core's warm caches),
@@ -21,11 +22,11 @@
 //
 // Determinism is the headline guarantee, and it comes from ownership, not
 // from the schedule: every strand owns its tuner, its objective (and thus
-// its RNG streams and simulation workspace), and its partial
-// ExperimentResult. Stealing changes only WHERE and WHEN a step runs,
-// never what it computes, so each campaign's results are bit-identical to
-// a solo run_campaign() of the same spec — for any thread count, any
-// submission order of the other campaigns, and any interleaving. The
+// its RNG streams and simulation workspace), and its PassRun. Stealing
+// changes only WHERE and WHEN a step runs, never what it computes, so each
+// campaign's results are bit-identical to a solo run_campaign() of the
+// same spec — for any thread count, any submission order of the other
+// campaigns, and any interleaving. The
 // wall-clock suggest_seconds fields are the sole excluded quantity
 // (presentation-only, as in the single-campaign driver). Finished
 // campaigns flow to an optional ResultSink keyed by submission ticket, so
@@ -75,7 +76,9 @@ struct MultiCampaignResult {
 /// lifecycle). Campaigns whose objectives support clone_stream get the
 /// parallel run_campaign() repetition semantics (rep r drawn from stream
 /// r); objectives without it fall back to the serial overload's semantics
-/// (repetitions continue the pass objective's own sequence).
+/// (repetitions continue the pass objective's own sequence). Every spec is
+/// validated (passes > 0, both factories set, max_steps > 0) before any
+/// campaign starts, so one bad entry rejects the batch with no work done.
 MultiCampaignResult run_campaigns(const std::vector<CampaignSpec>& specs,
                                   const CampaignSchedulerOptions& options,
                                   ResultSink* sink = nullptr);

@@ -1,6 +1,8 @@
 #include "tuning/experiment.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <iterator>
 
 #include "common/error.hpp"
 
@@ -8,105 +10,172 @@ namespace stormtune::tuning {
 
 namespace {
 
-/// The propose/evaluate/report loop shared by the serial and parallel
-/// drivers: everything of run_experiment except the best-config
-/// repetitions.
-ExperimentResult run_tuning_loop(Tuner& tuner, Objective& objective,
-                                 const ExperimentOptions& options) {
-  STORMTUNE_REQUIRE(options.max_steps > 0,
-                    "run_experiment: max_steps must be > 0");
-  ExperimentResult r;
-  r.strategy = tuner.name();
-  std::size_t zero_streak = 0;
+/// Leaves the propose/evaluate loop: reps next, or done.
+bool finish_tuning(PassRun& run, const ExperimentOptions& options) {
+  ExperimentResult& r = run.result;
+  STORMTUNE_REQUIRE(!r.trace.empty(), "tuning pass: tuner proposed nothing");
   double total_suggest = 0.0;
-
-  for (std::size_t step = 1; step <= options.max_steps; ++step) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto config = tuner.next();
-    const auto t1 = std::chrono::steady_clock::now();
-    if (!config) break;
-
-    const double throughput = objective.evaluate(*config);
-    tuner.report(*config, throughput);
-
-    StepRecord rec;
-    rec.step = step;
-    rec.throughput = throughput;
-    rec.suggest_seconds =
-        std::chrono::duration<double>(t1 - t0).count();
-    total_suggest += rec.suggest_seconds;
-    r.max_suggest_seconds = std::max(r.max_suggest_seconds,
-                                     rec.suggest_seconds);
-    r.trace.push_back(rec);
-
-    if (throughput > r.best_throughput) {
-      r.best_throughput = throughput;
-      r.best_config = *config;
-      r.best_step = step;
-    }
-
-    if (throughput <= 0.0) {
-      if (++zero_streak >= options.zero_streak_stop &&
-          options.zero_streak_stop > 0) {
-        break;
-      }
-    } else {
-      zero_streak = 0;
-    }
+  for (const StepRecord& s : r.trace) total_suggest += s.suggest_seconds;
+  r.mean_suggest_seconds = total_suggest / static_cast<double>(r.trace.size());
+  run.pending.reset();
+  if (options.best_config_reps > 0 && r.best_step > 0) {
+    r.best_rep_values.assign(options.best_config_reps, 0.0);
+    run.phase = PassPhase::kReps;
+    return true;
   }
-  STORMTUNE_REQUIRE(!r.trace.empty(), "run_experiment: tuner proposed nothing");
-  r.mean_suggest_seconds =
-      total_suggest / static_cast<double>(r.trace.size());
-  return r;
+  run.phase = PassPhase::kDone;
+  return false;
 }
 
-void serial_best_config_reps(ExperimentResult& r, Objective& objective,
-                             const ExperimentOptions& options) {
-  r.best_rep_values.reserve(options.best_config_reps);
-  for (std::size_t i = 0; i < options.best_config_reps; ++i) {
-    r.best_rep_values.push_back(objective.evaluate(r.best_config));
+/// Closes the rep phase once every best_rep_values slot is filled.
+void finish_reps(PassRun& run) {
+  run.result.best_rep_stats = summarize(run.result.best_rep_values);
+  run.rep_clone.reset();
+  run.phase = PassPhase::kDone;
+}
+
+/// Repetition `rep` of `run` on `clone`, bound to stream rep — the pooled
+/// drivers' shard body. Their pools shard statically (shard % threads), so
+/// a clone cached per worker slot is touched by one worker only, and
+/// rebinding it keeps one simulation workspace per worker.
+void evaluate_rep(PassRun& run, const Objective& objective,
+                  std::unique_ptr<Objective>& clone, std::size_t rep) {
+  STORMTUNE_REQUIRE(bind_rep_stream(objective, clone, rep),
+                    "parallel repetitions need clone_stream support");
+  run.result.best_rep_values[rep] = clone->evaluate(run.result.best_config);
+}
+
+/// The campaign result: the winning pass, with every pass handed out
+/// through `all_passes` when non-null.
+ExperimentResult take_winner(std::vector<ExperimentResult>& passes,
+                             std::vector<ExperimentResult>* all_passes) {
+  ExperimentResult best = passes[winning_pass(passes)];
+  if (all_passes) {
+    all_passes->insert(all_passes->end(),
+                       std::make_move_iterator(passes.begin()),
+                       std::make_move_iterator(passes.end()));
   }
-  r.best_rep_stats = summarize(r.best_rep_values);
+  return best;
 }
 
 }  // namespace
 
+bool advance_pass(PassRun& run, Tuner& tuner, Objective& objective,
+                  const ExperimentOptions& options) {
+  ExperimentResult& r = run.result;
+  switch (run.phase) {
+    case PassPhase::kSuggest: {
+      if (run.step == 0) {
+        STORMTUNE_REQUIRE(options.max_steps > 0,
+                          "tuning pass: max_steps must be > 0");
+        r.strategy = tuner.name();
+      }
+      const auto t0 = std::chrono::steady_clock::now();
+      run.pending = tuner.next();
+      const auto t1 = std::chrono::steady_clock::now();
+      if (!run.pending) return finish_tuning(run, options);
+      run.pending_suggest_seconds =
+          std::chrono::duration<double>(t1 - t0).count();
+      ++run.step;
+      run.phase = PassPhase::kEvaluate;
+      return true;
+    }
+    case PassPhase::kEvaluate: {
+      const sim::TopologyConfig& config = *run.pending;
+      const double throughput = objective.evaluate(config);
+      tuner.report(config, throughput);
+      r.trace.push_back({run.step, throughput, run.pending_suggest_seconds});
+      r.max_suggest_seconds =
+          std::max(r.max_suggest_seconds, run.pending_suggest_seconds);
+      if (throughput > r.best_throughput) {
+        r.best_throughput = throughput;
+        r.best_config = config;
+        r.best_step = run.step;
+      }
+      if (throughput <= 0.0) {
+        ++run.zero_streak;
+      } else {
+        run.zero_streak = 0;
+      }
+      if (run.step >= options.max_steps ||
+          (options.zero_streak_stop > 0 &&
+           run.zero_streak >= options.zero_streak_stop)) {
+        return finish_tuning(run, options);
+      }
+      run.phase = PassPhase::kSuggest;
+      return true;
+    }
+    case PassPhase::kReps: {
+      Objective* target = &objective;
+      if (run.rep_streams) {
+        if (bind_rep_stream(objective, run.rep_clone, run.rep)) {
+          target = run.rep_clone.get();
+        } else {
+          STORMTUNE_REQUIRE(run.rep == 0,
+                            "tuning pass: clone_stream failed mid-phase");
+          run.rep_streams = false;
+        }
+      }
+      r.best_rep_values[run.rep] = target->evaluate(r.best_config);
+      if (++run.rep < r.best_rep_values.size()) return true;
+      finish_reps(run);
+      return false;
+    }
+    case PassPhase::kDone:
+      return false;
+  }
+  STORMTUNE_REQUIRE(false, "tuning pass: corrupt phase");
+  return false;
+}
+
+bool bind_rep_stream(const Objective& objective,
+                     std::unique_ptr<Objective>& clone, std::size_t rep) {
+  if (clone == nullptr || !clone->rebind_stream(rep)) {
+    clone = objective.clone_stream(rep);
+  }
+  return clone != nullptr;
+}
+
+double pass_score(const ExperimentResult& r) {
+  return r.best_rep_stats.n > 0 ? r.best_rep_stats.mean : r.best_throughput;
+}
+
+std::size_t winning_pass(const std::vector<ExperimentResult>& passes) {
+  std::size_t win = 0;
+  for (std::size_t pass = 1; pass < passes.size(); ++pass) {
+    if (pass_score(passes[pass]) > pass_score(passes[win])) win = pass;
+  }
+  return win;
+}
+
 ExperimentResult run_experiment(Tuner& tuner, Objective& objective,
                                 const ExperimentOptions& options) {
-  ExperimentResult r = run_tuning_loop(tuner, objective, options);
-  if (options.best_config_reps > 0 && r.best_step > 0) {
-    serial_best_config_reps(r, objective, options);
+  PassRun run;
+  while (advance_pass(run, tuner, objective, options)) {
   }
-  return r;
+  return std::move(run.result);
 }
 
 ExperimentResult run_experiment(Tuner& tuner, Objective& objective,
                                 const ExperimentOptions& options,
                                 ThreadPool& pool) {
-  ExperimentResult r = run_tuning_loop(tuner, objective, options);
-  if (options.best_config_reps > 0 && r.best_step > 0) {
-    // One cached clone per pool worker slot, retargeted per repetition via
-    // rebind_stream so each worker reuses one simulation workspace across
-    // all its repetitions. The pool shards statically (shard % threads), so
-    // slot `rep % slots` is only ever touched by one worker. A rebound
-    // clone behaves exactly like a fresh clone_stream(rep), so the values
-    // stay bit-identical to per-rep cloning, for any thread count.
-    const std::size_t slots = pool.num_threads();
-    std::vector<std::unique_ptr<Objective>> slot_obj(slots);
-    slot_obj[0] = objective.clone_stream(0);
-    if (slot_obj[0] == nullptr) {
-      serial_best_config_reps(r, objective, options);
-    } else {
-      r.best_rep_values.assign(options.best_config_reps, 0.0);
-      pool.parallel_for(options.best_config_reps, [&](std::size_t rep) {
-        std::unique_ptr<Objective>& o = slot_obj[rep % slots];
-        if (!o || !o->rebind_stream(rep)) o = objective.clone_stream(rep);
-        r.best_rep_values[rep] = o->evaluate(r.best_config);
-      });
-      r.best_rep_stats = summarize(r.best_rep_values);
-    }
+  PassRun run;
+  while (run.phase != PassPhase::kReps &&
+         advance_pass(run, tuner, objective, options)) {
   }
-  return r;
+  // One cached clone per pool worker slot; without clone_stream support
+  // the loop below runs the reps serially instead.
+  std::vector<std::unique_ptr<Objective>> clones(pool.num_threads());
+  if (run.phase == PassPhase::kReps &&
+      bind_rep_stream(objective, clones[0], 0)) {
+    pool.parallel_for(options.best_config_reps, [&](std::size_t rep) {
+      evaluate_rep(run, objective, clones[rep % clones.size()], rep);
+    });
+    finish_reps(run);
+  }
+  while (advance_pass(run, tuner, objective, options)) {
+  }
+  return std::move(run.result);
 }
 
 ExperimentResult run_campaign(
@@ -114,24 +183,13 @@ ExperimentResult run_campaign(
     const ExperimentOptions& options, std::size_t passes,
     std::vector<ExperimentResult>* all_passes) {
   STORMTUNE_REQUIRE(passes > 0, "run_campaign: passes must be > 0");
-  ExperimentResult best;
-  bool have_best = false;
+  std::vector<ExperimentResult> results;
   for (std::size_t pass = 0; pass < passes; ++pass) {
     std::unique_ptr<Tuner> tuner = make_tuner(pass);
     STORMTUNE_REQUIRE(tuner != nullptr, "run_campaign: factory returned null");
-    ExperimentResult r = run_experiment(*tuner, objective, options);
-    const double score = options.best_config_reps > 0 ? r.best_rep_stats.mean
-                                                      : r.best_throughput;
-    const double best_score = options.best_config_reps > 0
-                                  ? best.best_rep_stats.mean
-                                  : best.best_throughput;
-    if (all_passes) all_passes->push_back(r);
-    if (!have_best || score > best_score) {
-      best = std::move(r);
-      have_best = true;
-    }
+    results.push_back(run_experiment(*tuner, objective, options));
   }
-  return best;
+  return take_winner(results, all_passes);
 }
 
 ExperimentResult run_campaign(
@@ -143,7 +201,7 @@ ExperimentResult run_campaign(
   // Phase 1: tuning loops, one shard per pass. Each shard builds its own
   // tuner and objective from the pass index, so no state is shared across
   // shards and the per-pass results cannot depend on the thread count.
-  std::vector<ExperimentResult> results(passes);
+  std::vector<PassRun> runs(passes);
   std::vector<std::unique_ptr<Objective>> objectives(passes);
   pool.parallel_for(passes, [&](std::size_t pass) {
     std::unique_ptr<Tuner> tuner = make_tuner(pass);
@@ -151,64 +209,36 @@ ExperimentResult run_campaign(
     objectives[pass] = make_objective(pass);
     STORMTUNE_REQUIRE(objectives[pass] != nullptr,
                       "run_campaign: objective factory returned null");
-    results[pass] = run_tuning_loop(*tuner, *objectives[pass], options);
+    PassRun& run = runs[pass];
+    while (run.phase != PassPhase::kReps &&
+           advance_pass(run, *tuner, *objectives[pass], options)) {
+    }
   });
 
   // Phase 2: all best-config repetitions of all passes, one shard per
-  // (pass, rep) pair; each shard evaluates an independent clone_stream of
-  // its pass's objective. This is the finer-grained of the two phases —
-  // with 2 passes x 30 reps there are 60 shards to spread over the pool.
+  // (pass, rep) pair — with 2 passes x 30 reps there are 60 shards to
+  // spread over the pool. A worker slot's cached clone is recloned when
+  // its shards cross into the next pass's objective.
   const std::size_t reps = options.best_config_reps;
-  if (reps > 0) {
-    for (ExperimentResult& r : results) {
-      if (r.best_step > 0) r.best_rep_values.assign(reps, 0.0);
+  std::vector<std::unique_ptr<Objective>> clones(pool.num_threads());
+  std::vector<std::size_t> clone_pass(clones.size(), passes);
+  pool.parallel_for(passes * reps, [&](std::size_t shard) {
+    const std::size_t pass = shard / reps;
+    if (runs[pass].phase != PassPhase::kReps) return;  // no working config
+    const std::size_t slot = shard % clones.size();
+    if (clone_pass[slot] != pass) {
+      clones[slot].reset();
+      clone_pass[slot] = pass;
     }
-    // One cached clone per pool worker slot, reused across shards through
-    // rebind_stream (and recloned when a worker's shards cross into the
-    // next pass's objective). The pool shards statically (shard % threads),
-    // so slot `shard % slots` is private to one worker; a rebound clone is
-    // indistinguishable from a fresh clone_stream(rep), keeping the result
-    // bit-identical for any thread count.
-    const std::size_t slots = pool.num_threads();
-    constexpr std::size_t kNoPass = static_cast<std::size_t>(-1);
-    std::vector<std::unique_ptr<Objective>> slot_obj(slots);
-    std::vector<std::size_t> slot_pass(slots, kNoPass);
-    pool.parallel_for(passes * reps, [&](std::size_t shard) {
-      const std::size_t pass = shard / reps;
-      const std::size_t rep = shard % reps;
-      ExperimentResult& r = results[pass];
-      if (r.best_step == 0) return;  // pass never saw a working config
-      const std::size_t slot = shard % slots;
-      std::unique_ptr<Objective>& o = slot_obj[slot];
-      if (slot_pass[slot] != pass || !o || !o->rebind_stream(rep)) {
-        o = objectives[pass]->clone_stream(rep);
-        slot_pass[slot] = pass;
-      }
-      STORMTUNE_REQUIRE(
-          o != nullptr,
-          "run_campaign: parallel repetitions need clone_stream support");
-      r.best_rep_values[rep] = o->evaluate(r.best_config);
-    });
-    for (ExperimentResult& r : results) {
-      if (r.best_step > 0) r.best_rep_stats = summarize(r.best_rep_values);
-    }
-  }
+    evaluate_rep(runs[pass], *objectives[pass], clones[slot], shard % reps);
+  });
 
-  // Gather in pass order — identical tie-breaking to the serial overload.
-  ExperimentResult best;
-  bool have_best = false;
-  for (std::size_t pass = 0; pass < passes; ++pass) {
-    const double score = reps > 0 ? results[pass].best_rep_stats.mean
-                                  : results[pass].best_throughput;
-    const double best_score =
-        reps > 0 ? best.best_rep_stats.mean : best.best_throughput;
-    if (all_passes) all_passes->push_back(results[pass]);
-    if (!have_best || score > best_score) {
-      best = results[pass];
-      have_best = true;
-    }
+  std::vector<ExperimentResult> results;
+  for (PassRun& run : runs) {
+    if (run.phase == PassPhase::kReps) finish_reps(run);
+    results.push_back(std::move(run.result));
   }
-  return best;
+  return take_winner(results, all_passes);
 }
 
 }  // namespace stormtune::tuning

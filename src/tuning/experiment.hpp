@@ -6,10 +6,19 @@
 // recorded (Figure 7); afterwards the best configuration is re-run 30
 // times (Figures 4 and 8 report mean/min/max of those repetitions); the
 // whole procedure is run twice and the better pass is reported.
+//
+// The protocol is implemented once: PassRun is one pass as plain data and
+// advance_pass() moves it by one step. Every driver — the serial and
+// pooled run_experiment/run_campaign below and the multi-campaign
+// scheduler (campaign_scheduler.hpp) — is a thin loop over advance_pass(),
+// the rep-stream helper bind_rep_stream() and the winner scan
+// winning_pass(). A pass that can stop and resume at any step, or explain
+// each of its steps, does so here.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,15 +57,59 @@ struct ExperimentResult {
   double max_suggest_seconds = 0.0;
 };
 
+/// Where a PassRun stands. A pass goes suggest ⇄ evaluate until the step
+/// budget, the zero-performance stop or an exhausted tuner; then reps (only
+/// when best_config_reps > 0 and some measurement was non-zero); then done.
+enum class PassPhase { kSuggest, kEvaluate, kReps, kDone };
+
+/// One (campaign, pass) pair of the §V-A protocol as resumable plain data.
+/// Drive it with advance_pass(); the pass's tuner and objective live
+/// outside it.
+struct PassRun {
+  PassPhase phase = PassPhase::kSuggest;
+  std::size_t step = 0;  ///< 1-based index of the latest proposal
+  std::size_t zero_streak = 0;
+  std::optional<sim::TopologyConfig> pending;  ///< proposed, not yet measured
+  double pending_suggest_seconds = 0.0;
+  std::size_t rep = 0;  ///< next best-config repetition
+  /// Repetition semantics. false: the reps continue the pass objective's
+  /// own measurement sequence (serial run_experiment). true: rep r runs on
+  /// an objective clone bound to stream r (bind_rep_stream), falling back
+  /// to false when the objective has no clone_stream support.
+  bool rep_streams = false;
+  std::unique_ptr<Objective> rep_clone;
+  ExperimentResult result;
+};
+
+/// One step of `run`: a suggest (Tuner::next), an evaluate + report, or
+/// one best-config repetition. Returns false once the pass is done.
+bool advance_pass(PassRun& run, Tuner& tuner, Objective& objective,
+                  const ExperimentOptions& options);
+
+/// Points `clone` at repetition stream `rep` of `objective`: rebinds it
+/// when possible, else replaces it with a fresh clone_stream(rep). A
+/// rebound clone is defined to equal a fresh one, so reusing clones keeps
+/// results independent of the thread count. Returns false when the
+/// objective does not support clone_stream.
+bool bind_rep_stream(const Objective& objective,
+                     std::unique_ptr<Objective>& clone, std::size_t rep);
+
+/// The score passes compete on: the repetition mean, or the best single
+/// measurement when the pass ran no repetitions.
+double pass_score(const ExperimentResult& r);
+
+/// Index of the winning pass by pass_score; the first pass wins ties.
+std::size_t winning_pass(const std::vector<ExperimentResult>& passes);
+
 /// Run one optimization pass: propose/evaluate/report until the step budget
 /// or the zero-performance stop, then re-evaluate the best configuration.
 ExperimentResult run_experiment(Tuner& tuner, Objective& objective,
                                 const ExperimentOptions& options);
 
 /// Like the serial overload, but the best-config repetitions are sharded
-/// over `pool`, one Objective::clone_stream(rep) per repetition. Because
-/// each repetition draws from its own stream, the result is bit-identical
-/// for any pool size — but numerically different from the serial overload,
+/// over `pool`, rep r on Objective::clone_stream(r). Because each
+/// repetition draws from its own stream, the result is bit-identical for
+/// any pool size — but numerically different from the serial overload,
 /// whose repetitions continue the tuning-loop seed sequence. Falls back to
 /// the serial repetition loop when the objective does not support
 /// clone_stream.

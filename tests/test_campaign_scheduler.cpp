@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -311,6 +312,184 @@ TEST(CampaignScheduler, SinkReceivesEveryCampaignInTicketOrder) {
   EXPECT_EQ(ticket, kCampaigns);
 }
 
+/// Replays a fixed list of uniform hints, then reports exhaustion (nullopt)
+/// — the tuner-ends-early edge path. The name carries the pass index so a
+/// fingerprint shows which pass won.
+class ScriptedHintTuner final : public Tuner {
+ public:
+  ScriptedHintTuner(std::vector<int> hints, std::size_t pass)
+      : hints_(std::move(hints)), name_("scripted-p" + std::to_string(pass)) {}
+
+  std::optional<sim::TopologyConfig> next() override {
+    if (next_ >= hints_.size()) return std::nullopt;
+    sim::TopologyConfig c;
+    c.parallelism_hints = {hints_[next_++]};
+    return c;
+  }
+  void report(const sim::TopologyConfig&, double) override {}
+  std::string name() const override { return name_; }
+
+ private:
+  std::vector<int> hints_;
+  std::string name_;
+  std::size_t next_ = 0;
+};
+
+/// Hint h scores 0 when h <= 1 and 10 h otherwise.
+double hint_score(const sim::TopologyConfig& c) {
+  const int h = c.parallelism_hints.at(0);
+  return h <= 1 ? 0.0 : 10.0 * h;
+}
+
+/// hint_score with multiplicative noise drawn from (seed, evaluation
+/// count): stateful like SimObjective, and clone_stream/rebind_stream
+/// capable with the same "a rebound clone equals a fresh clone" contract.
+class NoisyHintObjective final : public Objective {
+ public:
+  explicit NoisyHintObjective(std::uint64_t seed) : base_(seed), seed_(seed) {}
+
+  double evaluate(const sim::TopologyConfig& c) override {
+    std::uint64_t z = seed_ + 0x9e3779b97f4a7c15ULL * ++evaluations_;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    z ^= z >> 31;
+    const double u = static_cast<double>(z >> 11) * 0x1.0p-53;
+    return hint_score(c) * (1.0 + 0.01 * u);
+  }
+  std::unique_ptr<Objective> clone_stream(std::uint64_t stream) const override {
+    auto clone = std::make_unique<NoisyHintObjective>(base_);
+    clone->cloned_ = true;
+    clone->rebind_stream(stream);
+    return clone;
+  }
+  bool rebind_stream(std::uint64_t stream) override {
+    if (!cloned_) return false;
+    seed_ = base_ ^ (0x632be59bd9b4e019ULL * (stream + 1));
+    evaluations_ = 0;
+    return true;
+  }
+
+ private:
+  std::uint64_t base_;  ///< the seed every stream derives from
+  std::uint64_t seed_;
+  bool cloned_ = false;
+  std::size_t evaluations_ = 0;
+};
+
+/// hint_score, stateless and without clone_stream.
+class PlainHintObjective final : public Objective {
+ public:
+  double evaluate(const sim::TopologyConfig& c) override {
+    return hint_score(c);
+  }
+};
+
+struct EdgeCase {
+  std::string name;
+  std::vector<std::vector<int>> scripts;  ///< hints per pass
+  ExperimentOptions options;
+  /// Objective seed stride between passes; 0 gives every pass the same
+  /// measurement sequence (the tied-passes case).
+  std::uint64_t seed_stride;
+  std::vector<std::size_t> trace_sizes;  ///< expected, per pass
+  std::vector<std::size_t> best_steps;   ///< expected, per pass
+  std::string winner;                    ///< expected strategy name
+};
+
+std::vector<EdgeCase> edge_cases() {
+  ExperimentOptions streak;
+  streak.max_steps = 8;
+  streak.zero_streak_stop = 3;
+  streak.best_config_reps = 3;
+  ExperimentOptions exhaust;
+  exhaust.max_steps = 10;
+  exhaust.best_config_reps = 2;
+  ExperimentOptions no_reps;
+  no_reps.max_steps = 3;
+  no_reps.best_config_reps = 0;
+  return {
+      // Pass 0 hits three zeros in a row at step 4; pass 1's streak is
+      // reset by step 2 and trips at step 5.
+      {"zero_streak_mid_pass",
+       {{4, 1, 1, 1, 5, 6, 7, 8}, {1, 6, 1, 1, 1, 7, 7, 8}},
+       streak, 1, {4, 5}, {1, 2}, "scripted-p1"},
+      // Both tuners run dry before max_steps.
+      {"tuner_exhausts_early",
+       {{2, 3}, {3, 4, 2}}, exhaust, 1, {2, 3}, {2, 2}, "scripted-p1"},
+      // Pass 0 never measures anything non-zero: best_step 0, reps skipped.
+      {"no_nonzero_measurement",
+       {{1, 1, 1, 1}, {2, 1}}, streak, 1, {3, 2}, {0, 1}, "scripted-p1"},
+      // Identical passes with repetitions off: the first pass wins the tie.
+      {"tied_passes_without_reps",
+       {{3, 5, 2}, {3, 5, 2}}, no_reps, 0, {3, 3}, {2, 2}, "scripted-p0"},
+  };
+}
+
+CampaignSpec edge_spec(const EdgeCase& ec, bool clone_capable) {
+  CampaignSpec spec;
+  spec.name = ec.name;
+  spec.make_tuner = [scripts = ec.scripts](std::size_t pass)
+      -> std::unique_ptr<Tuner> {
+    return std::make_unique<ScriptedHintTuner>(scripts.at(pass), pass);
+  };
+  spec.make_objective = [clone_capable, stride = ec.seed_stride](
+                            std::size_t pass) -> std::unique_ptr<Objective> {
+    if (!clone_capable) return std::make_unique<PlainHintObjective>();
+    return std::make_unique<NoisyHintObjective>(77 + stride * pass);
+  };
+  spec.options = ec.options;
+  spec.passes = ec.scripts.size();
+  return spec;
+}
+
+TEST(CampaignScheduler, EdgePathsMatchAcrossDrivers) {
+  for (const EdgeCase& ec : edge_cases()) {
+    SCOPED_TRACE(ec.name);
+
+    // Clone-capable objective: the scheduler against the pooled driver.
+    const CampaignSpec cloned = edge_spec(ec, /*clone_capable=*/true);
+    std::vector<std::string> reference;
+    for (const std::size_t pool_threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE("pool threads=" + std::to_string(pool_threads));
+      ThreadPool pool(pool_threads);
+      std::vector<ExperimentResult> passes;
+      const ExperimentResult best =
+          run_campaign(cloned.make_tuner, cloned.make_objective,
+                       cloned.options, cloned.passes, pool, &passes);
+      EXPECT_EQ(best.strategy, ec.winner);
+      ASSERT_EQ(passes.size(), ec.scripts.size());
+      std::vector<std::string> prints = {fingerprint(best)};
+      for (std::size_t p = 0; p < passes.size(); ++p) {
+        EXPECT_EQ(passes[p].trace.size(), ec.trace_sizes[p]) << "pass " << p;
+        EXPECT_EQ(passes[p].best_step, ec.best_steps[p]) << "pass " << p;
+        const std::size_t reps =
+            passes[p].best_step > 0 ? ec.options.best_config_reps : 0;
+        EXPECT_EQ(passes[p].best_rep_values.size(), reps) << "pass " << p;
+        prints.push_back(fingerprint(passes[p]));
+      }
+      if (reference.empty()) reference = prints;
+      EXPECT_EQ(prints, reference);
+    }
+
+    // Stateless objective without clone_stream: the scheduler's serial-rep
+    // fallback against the serial driver over one shared objective.
+    const CampaignSpec plain = edge_spec(ec, /*clone_capable=*/false);
+    PlainHintObjective shared;
+    const ExperimentResult serial =
+        run_campaign(plain.make_tuner, shared, plain.options, plain.passes);
+    EXPECT_EQ(serial.strategy, ec.winner);
+
+    for (const std::size_t threads : scheduler_test_threads()) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      const MultiCampaignResult multi =
+          run_campaigns({cloned, plain}, {.num_threads = threads});
+      ASSERT_EQ(multi.results.size(), 2u);
+      EXPECT_EQ(fingerprint(multi.results[0]), reference[0]);
+      EXPECT_EQ(fingerprint(multi.results[1]), fingerprint(serial));
+    }
+  }
+}
+
 TEST(CampaignScheduler, ValidatesSpecs) {
   CampaignSpec spec = make_random_spec(0);
   spec.passes = 0;
@@ -318,6 +497,23 @@ TEST(CampaignScheduler, ValidatesSpecs) {
   CampaignSpec no_tuner = make_random_spec(1);
   no_tuner.make_tuner = nullptr;
   EXPECT_THROW(run_campaigns({no_tuner}, {.num_threads = 1}), Error);
+  CampaignSpec no_objective = make_random_spec(2);
+  no_objective.make_objective = nullptr;
+  EXPECT_THROW(run_campaigns({no_objective}, {.num_threads = 1}), Error);
+  CampaignSpec no_steps = make_random_spec(3);
+  no_steps.options.max_steps = 0;
+  EXPECT_THROW(run_campaigns({no_steps}, {.num_threads = 1}), Error);
+  // A bad entry anywhere in the batch is rejected before any campaign's
+  // factories run.
+  std::size_t factory_calls = 0;
+  CampaignSpec counted = make_random_spec(4);
+  counted.make_tuner = [inner = counted.make_tuner,
+                        &factory_calls](std::size_t pass) {
+    ++factory_calls;
+    return inner(pass);
+  };
+  EXPECT_THROW(run_campaigns({counted, no_steps}, {.num_threads = 1}), Error);
+  EXPECT_EQ(factory_calls, 0u);
   EXPECT_TRUE(run_campaigns({}, {.num_threads = 2}).results.empty());
 }
 

@@ -655,9 +655,8 @@ int cmd_tune_many(const Options& cli) {
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const tuning::ExperimentResult& r = out.results[i];
     std::printf("%-24s %10.1f %4zu/%-4zu %s\n", specs[i].name.c_str(),
-                r.best_rep_stats.n > 0 ? r.best_rep_stats.mean
-                                       : r.best_throughput,
-                r.best_step, r.trace.size(), r.best_config.describe().c_str());
+                tuning::pass_score(r), r.best_step, r.trace.size(),
+                r.best_config.describe().c_str());
   }
   std::printf("steals:       %llu\n",
               static_cast<unsigned long long>(out.steal_count));
