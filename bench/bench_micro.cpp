@@ -322,19 +322,25 @@ void BM_Campaign(benchmark::State& state) {
 BENCHMARK(BM_Campaign)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
 void BM_ObjectiveRepeat(benchmark::State& state) {
-  // Repeated evaluations through ONE long-lived SimObjective — the campaign
-  // driver's steady state. The persistent workspace makes every run after
-  // the first allocation-free; contrast with BM_Simulate, whose free
-  // simulate() calls rebuild the workspace each time.
+  // Repeated simulations through ONE long-lived Simulator, at a fresh seed
+  // each — what a SimObjective runs for every evaluation that does not
+  // replay its incumbent, the campaign driver's steady state. (Repeating
+  // one config through a SimObjective would replay it after the first
+  // run.) The persistent workspace makes every run after the first
+  // allocation-free; contrast with BM_Simulate, whose free simulate()
+  // calls rebuild the workspace each time.
   topo::SyntheticSpec spec;
   spec.size = topo::TopologySize::kMedium;
   const sim::Topology topology = topo::build_synthetic(spec);
   sim::SimParams params = topo::synthetic_sim_params();
   params.duration_s = 5.0;
   const sim::TopologyConfig config = sim::uniform_hint_config(topology, 8);
-  tuning::SimObjective objective(topology, topo::paper_cluster(), params, 7);
+  const sim::ClusterSpec cluster = topo::paper_cluster();
+  sim::Simulator simulator;
+  std::uint64_t seed = 7;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(objective.evaluate(config));
+    benchmark::DoNotOptimize(
+        simulator.run(topology, config, cluster, params, ++seed));
   }
 }
 BENCHMARK(BM_ObjectiveRepeat)->Unit(benchmark::kMillisecond);
@@ -874,14 +880,18 @@ void write_campaign_record(const std::string& path) {
     sim::SimParams params = topo::synthetic_sim_params();
     params.duration_s = 5.0;
     const sim::TopologyConfig config = sim::uniform_hint_config(topology, 8);
-    tuning::SimObjective objective(topology, topo::paper_cluster(), params,
-                                   7);
-    benchmark::DoNotOptimize(objective.evaluate(config));  // warm-up
+    const sim::ClusterSpec cluster = topo::paper_cluster();
+    // Simulations, not SimObjective evaluations: see BM_ObjectiveRepeat.
+    sim::Simulator simulator;
+    std::uint64_t seed = 7;
+    auto simulate_once = [&] {
+      benchmark::DoNotOptimize(
+          simulator.run(topology, config, cluster, params, ++seed));
+    };
+    simulate_once();  // warm-up
     workloads["objective_repeat/medium"] =
         median3_us_per_op(40, [&](std::size_t iters) {
-          for (std::size_t i = 0; i < iters; ++i) {
-            benchmark::DoNotOptimize(objective.evaluate(config));
-          }
+          for (std::size_t i = 0; i < iters; ++i) simulate_once();
         });
     workload_meta["objective_repeat/medium"] = meta(1, 1);
   }

@@ -338,9 +338,18 @@ struct SimWorkspace {
   const SimResult& run(const Topology& topology, const TopologyConfig& config,
                        const ClusterSpec& cluster, const SimParams& params,
                        std::uint64_t seed);
+  const SimResult& replay(const SimResult& noiseless_run,
+                          const Topology& topology,
+                          const TopologyConfig& config,
+                          const ClusterSpec& cluster, const SimParams& params,
+                          std::uint64_t seed);
 
  private:
   // ---- setup ----
+  bool setup_run(const Topology& topology, const TopologyConfig& config,
+                 const ClusterSpec& cluster, const SimParams& params,
+                 std::uint64_t seed);
+  double draw_noise();
   void validate_inputs();
   void reset_run_state();
   void build_deployment();
@@ -1014,11 +1023,15 @@ void SimWorkspace::observe_commit() {
   }
 }
 
-STORMTUNE_HOT const SimResult& SimWorkspace::run(const Topology& topology,
-                                   const TopologyConfig& config,
-                                   const ClusterSpec& cluster,
-                                   const SimParams& params,
-                                   std::uint64_t seed) {
+/// The setup run() and replay() share: binds the inputs, reseeds the RNG,
+/// validates, deploys (the background-load and placement draws) and
+/// profiles one batch. Returns true when the deployment OOM-crashes before
+/// processing anything; result_ then holds the crash result, which draws
+/// no noise.
+bool SimWorkspace::setup_run(const Topology& topology,
+                             const TopologyConfig& config,
+                             const ClusterSpec& cluster,
+                             const SimParams& params, std::uint64_t seed) {
   topo_ = &topology;
   config_ = &config;
   cluster_ = &cluster;
@@ -1053,8 +1066,27 @@ STORMTUNE_HOT const SimResult& SimWorkspace::run(const Topology& topology,
     std::size_t total_tasks = 0;
     for (const auto& ts : assignment_.node_tasks) total_tasks += ts.size();
     result_.total_tasks = total_tasks;
-    return result_;
+    return true;
   }
+  return false;
+}
+
+/// Multiplicative measurement noise, the last RNG draw of a run. The
+/// event loop draws nothing, so after setup_run() the RNG stands at the
+/// same position in run() and replay().
+double SimWorkspace::draw_noise() {
+  return params_->throughput_noise_sd > 0.0
+             ? std::max(0.0,
+                        1.0 + rng_.normal(0.0, params_->throughput_noise_sd))
+             : 1.0;
+}
+
+STORMTUNE_HOT const SimResult& SimWorkspace::run(const Topology& topology,
+                                   const TopologyConfig& config,
+                                   const ClusterSpec& cluster,
+                                   const SimParams& params,
+                                   std::uint64_t seed) {
+  if (setup_run(topology, config, cluster, params, seed)) return result_;
 
   emit_ready_batches();
 
@@ -1122,12 +1154,7 @@ STORMTUNE_HOT const SimResult& SimWorkspace::run(const Topology& topology,
   }
   r.tuples_committed = committed * static_cast<double>(config_->batch_size);
   r.noiseless_throughput = r.tuples_committed / params_->duration_s;
-  const double noise =
-      params_->throughput_noise_sd > 0.0
-          ? std::max(0.0,
-                     1.0 + rng_.normal(0.0, params_->throughput_noise_sd))
-          : 1.0;
-  r.throughput_tuples_per_s = r.noiseless_throughput * noise;
+  r.throughput_tuples_per_s = r.noiseless_throughput * draw_noise();
   r.mean_batch_latency_ms =
       batches_committed_ > 0
           ? total_latency_ms_ / static_cast<double>(batches_committed_)
@@ -1171,6 +1198,22 @@ STORMTUNE_HOT const SimResult& SimWorkspace::run(const Topology& topology,
   return r;
 }
 
+STORMTUNE_HOT const SimResult& SimWorkspace::replay(
+    const SimResult& noiseless_run, const Topology& topology,
+    const TopologyConfig& config, const ClusterSpec& cluster,
+    const SimParams& params, std::uint64_t seed) {
+  STORMTUNE_REQUIRE(!event_loop_reads_seed(params),
+                    "Simulator::replay: the run depends on the seed");
+  if (setup_run(topology, config, cluster, params, seed)) return result_;
+  STORMTUNE_REQUIRE(!noiseless_run.crashed &&
+                        noiseless_run.node_stats.size() == topo_->num_nodes(),
+                    "Simulator::replay: result is not a run of this input");
+  if (&noiseless_run != &result_) result_ = noiseless_run;
+  result_.throughput_tuples_per_s =
+      result_.noiseless_throughput * draw_noise();
+  return result_;
+}
+
 #ifdef STORMTUNE_CHECKED
 namespace testing {
 
@@ -1199,6 +1242,18 @@ STORMTUNE_HOT const SimResult& Simulator::run(const Topology& topology,
                                 const ClusterSpec& cluster,
                                 const SimParams& params, std::uint64_t seed) {
   return ws_->run(topology, config, cluster, params, seed);
+}
+
+STORMTUNE_HOT const SimResult& Simulator::replay(
+    const SimResult& noiseless_run, const Topology& topology,
+    const TopologyConfig& config, const ClusterSpec& cluster,
+    const SimParams& params, std::uint64_t seed) {
+  return ws_->replay(noiseless_run, topology, config, cluster, params, seed);
+}
+
+bool event_loop_reads_seed(const SimParams& params) {
+  return params.background_load_prob > 0.0 ||
+         params.scheduler == SchedulerPolicy::kRandom;
 }
 
 SimResult simulate(const Topology& topology, const TopologyConfig& config,

@@ -83,6 +83,21 @@ class Simulator {
                        const ClusterSpec& cluster, const SimParams& params,
                        std::uint64_t seed);
 
+  /// Returns exactly the bits run() would return for the same arguments,
+  /// without simulating: `noiseless_run` is the result of an earlier run()
+  /// of this (topology, config, cluster, params) at any seed. Replay runs
+  /// run()'s setup — validation, deployment and its RNG draws — then skips
+  /// batch emission and the event loop, copies `noiseless_run` and applies
+  /// the measurement noise drawn from the same RNG position by the same
+  /// code. Only the noise depends on the seed, so this is exact; params
+  /// for which event_loop_reads_seed() holds are rejected. After the first
+  /// replay of a workload, a replay performs zero heap allocations.
+  const SimResult& replay(const SimResult& noiseless_run,
+                          const Topology& topology,
+                          const TopologyConfig& config,
+                          const ClusterSpec& cluster, const SimParams& params,
+                          std::uint64_t seed);
+
  private:
 #ifdef STORMTUNE_CHECKED
   friend void testing::corrupt_job_free_list(Simulator& sim);
@@ -90,6 +105,12 @@ class Simulator {
 #endif
   std::unique_ptr<SimWorkspace> ws_;
 };
+
+/// True when the seed reaches the event loop: background load draws
+/// per-machine speed factors and the random scheduler draws the placement.
+/// Otherwise a run's result is a function of its non-seed inputs plus one
+/// noise draw, and Simulator::replay() may stand in for Simulator::run().
+bool event_loop_reads_seed(const SimParams& params);
 
 /// Simulate one evaluation run and return its measurements. Thin wrapper
 /// over a scratch Simulator workspace — prefer a long-lived Simulator when

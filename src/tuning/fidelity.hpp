@@ -132,6 +132,12 @@ class FidelityLadder final : public Objective {
 
   const LadderOptions& options() const { return options_; }
   const LadderStats& stats() const { return stats_; }
+  /// Event loops run by both rungs, the rung-2 repetition clones included
+  /// (SimObjective::num_simulations). Repetitions of a winner that ran at
+  /// rung 2 replay it and add nothing.
+  std::size_t num_simulations() const {
+    return rung1_.num_simulations() + rung2_.num_simulations();
+  }
   const sim::Topology& topology() const { return rung2_.topology(); }
 
  private:
@@ -208,12 +214,15 @@ struct LadderCampaignConfig {
 
 /// Per-pass factory pair for the campaign drivers (pooled run_campaign and
 /// the PR 7 scheduler): pass p's tuner and objective share ONE
-/// FidelityLadder, created on first request and registered by pass index,
-/// so the tuner's screening, the objective's promotion state and the
-/// observation rung tags stay coherent without any scheduler changes —
-/// screening happens inside next(), i.e. inside the existing suggest step.
-/// The returned factories keep this object alive via shared_ptr and are
-/// safe to call concurrently (the registry is mutex-guarded).
+/// FidelityLadder, so the tuner's screening, the objective's promotion
+/// state and the observation rung tags stay coherent without any scheduler
+/// changes — screening happens inside next(), i.e. inside the existing
+/// suggest step. The registry holds each ladder weakly: it lives exactly as
+/// long as its pass's tuner or objective, and a request for a pass whose
+/// tuner and objective are both gone builds a fresh ladder, so running a
+/// spec again reproduces its first run. The returned factories keep this
+/// object alive via shared_ptr and are safe to call concurrently (the
+/// registry is mutex-guarded).
 class LadderCampaignFactories
     : public std::enable_shared_from_this<LadderCampaignFactories> {
  public:
@@ -229,7 +238,7 @@ class LadderCampaignFactories
 
   LadderCampaignConfig config_;
   std::mutex mu_;
-  std::map<std::size_t, std::shared_ptr<FidelityLadder>> ladders_;
+  std::map<std::size_t, std::weak_ptr<FidelityLadder>> ladders_;
 };
 
 }  // namespace stormtune::tuning

@@ -48,6 +48,17 @@ class Objective {
 };
 
 /// Objective backed by the discrete-event simulator.
+///
+/// An objective and all its clone_stream() copies form a family that shares
+/// one mutex-guarded incumbent slot: the config and noiseless run behind
+/// the family's highest simulated measurement so far (only a strictly
+/// greater measurement replaces it, so the first of tied measurements keeps
+/// it, as ExperimentResult::best_step does). evaluate() of the slot's
+/// config replays that run (sim::Simulator::replay) instead of simulating
+/// it — every best-config repetition costs one noise draw. Replay returns
+/// the bits a simulation would, so which config holds the slot affects
+/// speed only, never a result. Params for which sim::event_loop_reads_seed()
+/// holds are always simulated.
 class SimObjective final : public Objective {
  public:
   SimObjective(sim::Topology topology, sim::ClusterSpec cluster,
@@ -61,8 +72,17 @@ class SimObjective final : public Objective {
   const sim::SimResult& last_result() const { return last_; }
   const sim::Topology& topology() const { return topology_; }
   std::size_t num_evaluations() const { return evaluations_; }
+  /// Event loops actually run by the whole family (this objective and every
+  /// clone_stream copy of it); evaluations that replayed the incumbent do
+  /// not count. Deterministic whenever the family's measurements are taken
+  /// in a deterministic order, as every driver in experiment.hpp does.
+  std::size_t num_simulations() const;
 
  private:
+  /// The state a family shares: the incumbent slot and the simulation
+  /// counter. Defined in objective.cpp.
+  struct Family;
+
   sim::Topology topology_;
   sim::ClusterSpec cluster_;
   sim::SimParams params_;
@@ -76,6 +96,7 @@ class SimObjective final : public Objective {
   /// buffers (see sim::Simulator) instead of reconstructing them per run.
   sim::Simulator simulator_;
   sim::SimResult last_;
+  std::shared_ptr<Family> family_;
 };
 
 }  // namespace stormtune::tuning

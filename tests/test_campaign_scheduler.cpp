@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -23,25 +22,13 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "test_threads.hpp"
 #include "tuning/config_space.hpp"
 #include "tuning/report.hpp"
 #include "tuning/tuner.hpp"
 
 namespace stormtune::tuning {
 namespace {
-
-std::vector<std::size_t> scheduler_test_threads() {
-  std::vector<std::size_t> threads = {1, 2, 8};
-  if (const char* env = std::getenv("STORMTUNE_SCHED_TEST_THREADS")) {
-    threads.clear();
-    std::stringstream ss(env);
-    std::string tok;
-    while (std::getline(ss, tok, ',')) {
-      threads.push_back(static_cast<std::size_t>(std::stoul(tok)));
-    }
-  }
-  return threads;
-}
 
 std::string hexfloat(double v) {
   char buf[48];

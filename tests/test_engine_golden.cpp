@@ -15,11 +15,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/error.hpp"
 #include "stormsim/engine.hpp"
 #include "stormsim/fluid.hpp"
 #include "topology/sundog.hpp"
@@ -525,31 +528,41 @@ TEST(EngineGolden, BitwiseIdenticalToPreOverhaulEngine) {
   }
 }
 
-void expect_bitwise_equal(const sim::SimResult& a, const sim::SimResult& b) {
-  EXPECT_EQ(a.throughput_tuples_per_s, b.throughput_tuples_per_s);
-  EXPECT_EQ(a.noiseless_throughput, b.noiseless_throughput);
-  EXPECT_EQ(a.batches_committed, b.batches_committed);
-  EXPECT_EQ(a.batches_emitted, b.batches_emitted);
-  EXPECT_EQ(a.tuples_committed, b.tuples_committed);
-  EXPECT_EQ(a.mean_batch_latency_ms, b.mean_batch_latency_ms);
-  EXPECT_EQ(a.network_bytes_per_s_per_worker, b.network_bytes_per_s_per_worker);
-  EXPECT_EQ(a.peak_nic_utilization, b.peak_nic_utilization);
-  EXPECT_EQ(a.cpu_utilization, b.cpu_utilization);
-  EXPECT_EQ(a.total_tasks, b.total_tasks);
-  EXPECT_EQ(a.crashed, b.crashed);
-  EXPECT_EQ(a.simulated_ms, b.simulated_ms);
-  EXPECT_EQ(a.early_stopped, b.early_stopped);
-  ASSERT_EQ(a.node_stats.size(), b.node_stats.size());
-  for (std::size_t n = 0; n < a.node_stats.size(); ++n) {
-    SCOPED_TRACE(a.node_stats[n].name);
-    EXPECT_EQ(a.node_stats[n].name, b.node_stats[n].name);
-    EXPECT_EQ(a.node_stats[n].tasks, b.node_stats[n].tasks);
-    EXPECT_EQ(a.node_stats[n].batches_processed,
-              b.node_stats[n].batches_processed);
-    EXPECT_EQ(a.node_stats[n].mean_stage_ms, b.node_stats[n].mean_stage_ms);
-    EXPECT_EQ(a.node_stats[n].max_stage_ms, b.node_stats[n].max_stage_ms);
-    EXPECT_EQ(a.node_stats[n].busy_core_ms, b.node_stats[n].busy_core_ms);
+/// Every SimResult field, doubles as hexfloat: two results are bitwise
+/// equal exactly when their dumps are equal strings.
+std::string hexdump(const sim::SimResult& r) {
+  std::string out;
+  char buf[96];
+  auto num = [&](const char* name, double v) {
+    std::snprintf(buf, sizeof buf, "%s=%a ", name, v);
+    out += buf;
+  };
+  auto count = [&](const char* name, std::size_t v) {
+    std::snprintf(buf, sizeof buf, "%s=%zu ", name, v);
+    out += buf;
+  };
+  num("throughput", r.throughput_tuples_per_s);
+  num("noiseless", r.noiseless_throughput);
+  count("committed", r.batches_committed);
+  count("emitted", r.batches_emitted);
+  num("tuples", r.tuples_committed);
+  num("latency", r.mean_batch_latency_ms);
+  num("network", r.network_bytes_per_s_per_worker);
+  num("nic", r.peak_nic_utilization);
+  num("cpu", r.cpu_utilization);
+  count("tasks", r.total_tasks);
+  count("crashed", r.crashed ? 1 : 0);
+  num("simulated_ms", r.simulated_ms);
+  count("early_stopped", r.early_stopped ? 1 : 0);
+  for (const sim::NodeStats& n : r.node_stats) {
+    out += "\n" + n.name + " ";
+    count("tasks", n.tasks);
+    count("batches", n.batches_processed);
+    num("mean_stage", n.mean_stage_ms);
+    num("max_stage", n.max_stage_ms);
+    num("busy", n.busy_core_ms);
   }
+  return out;
 }
 
 TEST(EngineGolden, ReusedWorkspaceIsBitwiseIdenticalToFreshRuns) {
@@ -566,9 +579,94 @@ TEST(EngineGolden, ReusedWorkspaceIsBitwiseIdenticalToFreshRuns) {
           simulator.run(c.topology, c.config, c.cluster, c.params, c.seed);
       const sim::SimResult fresh =
           sim::simulate(c.topology, c.config, c.cluster, c.params, c.seed);
-      expect_bitwise_equal(reused, fresh);
+      EXPECT_EQ(hexdump(reused), hexdump(fresh));
     }
   }
+}
+
+/// The golden deployments under each of the three placement policies.
+std::vector<Case> replay_cases() {
+  std::vector<Case> cases;
+  for (const sim::SchedulerPolicy policy :
+       {sim::SchedulerPolicy::kRoundRobin, sim::SchedulerPolicy::kLoadAware,
+        sim::SchedulerPolicy::kRandom}) {
+    for (Case c : golden_cases()) {
+      c.params.scheduler = policy;
+      cases.push_back(std::move(c));
+    }
+  }
+  return cases;
+}
+
+TEST(EngineReplay, BitIdenticalToFreshRunsOnGoldenDeployments) {
+  // Replaying an earlier run at seed s must return exactly what a fresh
+  // run() at s returns, in every field, for every deployment whose event
+  // loop does not read the seed; the others must be refused.
+  std::size_t replayed = 0;
+  std::size_t refused = 0;
+  for (const Case& c : replay_cases()) {
+    SCOPED_TRACE(std::string(c.name) + " / " +
+                 sim::to_string(c.params.scheduler));
+    sim::Simulator first;
+    const sim::SimResult noiseless =
+        first.run(c.topology, c.config, c.cluster, c.params, c.seed + 1000);
+    sim::Simulator replayer;
+    if (sim::event_loop_reads_seed(c.params)) {
+      EXPECT_THROW(replayer.replay(noiseless, c.topology, c.config, c.cluster,
+                                   c.params, c.seed),
+                   Error);
+      ++refused;
+      continue;
+    }
+    for (const std::uint64_t seed : {c.seed, c.seed + 1, c.seed + 1000}) {
+      SCOPED_TRACE(seed);
+      const sim::SimResult fresh =
+          sim::simulate(c.topology, c.config, c.cluster, c.params, seed);
+      EXPECT_EQ(hexdump(replayer.replay(noiseless, c.topology, c.config,
+                                        c.cluster, c.params, seed)),
+                hexdump(fresh));
+      // A replay from the simulator's own last result (the aliasing case).
+      EXPECT_EQ(hexdump(first.replay(first.run(c.topology, c.config,
+                                               c.cluster, c.params, 7),
+                                     c.topology, c.config, c.cluster,
+                                     c.params, seed)),
+                hexdump(fresh));
+    }
+    ++replayed;
+  }
+  // Background load (2 golden cases) and the random scheduler (all 8)
+  // read the seed: 2 x 2 + 8 refused.
+  EXPECT_EQ(refused, 12u);
+  EXPECT_EQ(replayed, 12u);
+}
+
+TEST(EngineReplay, SeedDependentRunsDifferBeyondTheNoiseDraw) {
+  // Why those params are never replayed: with background load or random
+  // placement, two seeds give different noiseless runs, so no earlier run
+  // can stand in for a later one.
+  const auto cases = golden_cases();
+  const Case& bgload = cases[5];  // medium/bgload, background_load_prob 0.3
+  ASSERT_GT(bgload.params.background_load_prob, 0.0);
+  const Case& plain = cases[2];   // medium/h6
+  Case random = plain;
+  random.params.scheduler = sim::SchedulerPolicy::kRandom;
+  for (const Case* c : {&bgload, static_cast<const Case*>(&random)}) {
+    SCOPED_TRACE(c->name);
+    ASSERT_TRUE(sim::event_loop_reads_seed(c->params));
+    const sim::SimResult a =
+        sim::simulate(c->topology, c->config, c->cluster, c->params, 11);
+    const sim::SimResult b =
+        sim::simulate(c->topology, c->config, c->cluster, c->params, 12);
+    EXPECT_NE(a.noiseless_throughput, b.noiseless_throughput);
+  }
+  // Without them, the noiseless run does not depend on the seed.
+  ASSERT_FALSE(sim::event_loop_reads_seed(plain.params));
+  const sim::SimResult a = sim::simulate(plain.topology, plain.config,
+                                         plain.cluster, plain.params, 11);
+  const sim::SimResult b = sim::simulate(plain.topology, plain.config,
+                                         plain.cluster, plain.params, 12);
+  EXPECT_EQ(a.noiseless_throughput, b.noiseless_throughput);
+  EXPECT_NE(a.throughput_tuples_per_s, b.throughput_tuples_per_s);
 }
 
 TEST(EngineGolden, ReusedWorkspaceReachesZeroSteadyStateAllocations) {
@@ -595,6 +693,22 @@ TEST(EngineGolden, ReusedWorkspaceReachesZeroSteadyStateAllocations) {
   const std::size_t after = g_new_calls.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u)
       << "steady-state simulator runs allocated " << (after - before)
+      << " times";
+
+  // Replays through the same workspace: the first one copies the earlier
+  // run's per-node stats into the result; every later one allocates nothing.
+  const sim::SimResult noiseless =
+      simulator.run(c.topology, c.config, c.cluster, c.params, c.seed);
+  simulator.replay(noiseless, c.topology, c.config, c.cluster, c.params, 1);
+  const std::size_t replay_before =
+      g_new_calls.load(std::memory_order_relaxed);
+  for (std::uint64_t seed = 2; seed < 5; ++seed) {
+    simulator.replay(noiseless, c.topology, c.config, c.cluster, c.params,
+                     seed);
+  }
+  const std::size_t replay_after = g_new_calls.load(std::memory_order_relaxed);
+  EXPECT_EQ(replay_after - replay_before, 0u)
+      << "steady-state replays allocated " << (replay_after - replay_before)
       << " times";
 }
 

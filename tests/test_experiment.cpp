@@ -6,6 +6,8 @@
 #include <memory>
 
 #include "common/error.hpp"
+#include "test_threads.hpp"
+#include "tuning/campaign_scheduler.hpp"
 
 namespace stormtune::tuning {
 namespace {
@@ -402,6 +404,181 @@ TEST(RunCampaign, ParallelRequiresCloneStreamForReps) {
           },
           opts, 2, pool),
       Error);
+}
+
+// ---- incumbent replay: repetitions of the best config cost no simulation --
+
+struct ReplayWorkload {
+  sim::Topology topology = demo_topology();
+  sim::ClusterSpec cluster;
+  sim::SimParams params;
+  ExperimentOptions options;
+
+  ReplayWorkload() {
+    cluster.num_machines = 4;
+    params.duration_s = 10.0;
+    params.throughput_noise_sd = 0.05;
+    options.max_steps = 12;
+    options.best_config_reps = 9;
+  }
+
+  std::unique_ptr<Tuner> tuner() const {
+    return std::make_unique<PlaTuner>(topology, sim::TopologyConfig{}, false);
+  }
+  std::unique_ptr<SimObjective> objective(std::uint64_t seed) const {
+    return std::make_unique<SimObjective>(topology, cluster, params, seed);
+  }
+  std::unique_ptr<Objective> fresh(std::uint64_t seed) const {
+    return std::make_unique<FreshSimObjective>(topology, cluster, params,
+                                               seed);
+  }
+};
+
+/// A SimObjective behind an interface without clone_stream support, which
+/// sends the pooled run_experiment down its serial repetition path.
+class NoCloneObjective final : public Objective {
+ public:
+  explicit NoCloneObjective(Objective& inner) : inner_(inner) {}
+  double evaluate(const sim::TopologyConfig& config) override {
+    return inner_.evaluate(config);
+  }
+
+ private:
+  Objective& inner_;
+};
+
+TEST(IncumbentReplay, PooledRepetitionsRunNoEventLoop) {
+  // The repetition clones share the parent's incumbent slot and replay the
+  // winner: the whole family runs exactly one event loop per tuning step,
+  // at every pool width, and the result equals a never-replaying objective.
+  const ReplayWorkload w;
+  ThreadPool reference_pool(1);
+  const auto reference_objective = w.fresh(21);
+  const ExperimentResult reference = run_experiment(
+      *w.tuner(), *reference_objective, w.options, reference_pool);
+  ASSERT_GT(reference.best_step, 0u);
+  for (const std::size_t threads : scheduler_test_threads()) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadPool pool(threads);
+    const auto objective = w.objective(21);
+    const ExperimentResult r =
+        run_experiment(*w.tuner(), *objective, w.options, pool);
+    expect_same_experiment(r, reference);
+    EXPECT_EQ(objective->num_simulations(), r.trace.size());
+    EXPECT_EQ(objective->num_evaluations(), r.trace.size());
+  }
+}
+
+TEST(IncumbentReplay, SerialRepetitionsRunNoEventLoop) {
+  // Serial repetitions continue the pass objective's own sequence; the
+  // pooled driver's fallback for objectives without clone_stream does the
+  // same. Both replay.
+  const ReplayWorkload w;
+  const auto reference_objective = w.fresh(21);
+  const ExperimentResult reference =
+      run_experiment(*w.tuner(), *reference_objective, w.options);
+  ASSERT_GT(reference.best_step, 0u);
+
+  const auto serial = w.objective(21);
+  const ExperimentResult a = run_experiment(*w.tuner(), *serial, w.options);
+  expect_same_experiment(a, reference);
+  EXPECT_EQ(serial->num_simulations(), a.trace.size());
+  EXPECT_EQ(serial->num_evaluations(),
+            a.trace.size() + w.options.best_config_reps);
+
+  const auto inner = w.objective(21);
+  NoCloneObjective fallback(*inner);
+  ThreadPool pool(4);
+  const ExperimentResult b =
+      run_experiment(*w.tuner(), fallback, w.options, pool);
+  expect_same_experiment(b, reference);
+  EXPECT_EQ(inner->num_simulations(), b.trace.size());
+}
+
+TEST(IncumbentReplay, CampaignDriversRunNoRepetitionEventLoop) {
+  // Pooled run_campaign (pass x rep shards) and the scheduler (one strand
+  // per pass): each pass's family simulates its trace and nothing else.
+  // A clone of each pass objective, kept by the factory, reads the family
+  // counter after the driver has released the objective itself.
+  const ReplayWorkload w;
+  constexpr std::size_t kPasses = 2;
+  for (const std::size_t threads : scheduler_test_threads()) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::vector<std::unique_ptr<Objective>> handles(kPasses);
+    const ObjectiveFactory make_objective =
+        [&](std::size_t pass) -> std::unique_ptr<Objective> {
+      std::unique_ptr<SimObjective> o = w.objective(11 + pass * 101);
+      handles[pass] = o->clone_stream(1000);
+      return o;
+    };
+    const TunerFactory make_tuner = [&](std::size_t) { return w.tuner(); };
+    auto simulations = [&](std::size_t pass) {
+      return static_cast<const SimObjective&>(*handles[pass])
+          .num_simulations();
+    };
+
+    ThreadPool pool(threads);
+    std::vector<ExperimentResult> passes;
+    run_campaign(make_tuner, make_objective, w.options, kPasses, pool,
+                 &passes);
+    ASSERT_EQ(passes.size(), kPasses);
+    for (std::size_t p = 0; p < kPasses; ++p) {
+      ASSERT_EQ(passes[p].best_rep_values.size(), w.options.best_config_reps);
+      EXPECT_EQ(simulations(p), passes[p].trace.size()) << "pass " << p;
+    }
+
+    CampaignSpec spec;
+    spec.name = "replay";
+    spec.passes = kPasses;
+    spec.options = w.options;
+    spec.make_tuner = make_tuner;
+    spec.make_objective = make_objective;
+    const MultiCampaignResult multi =
+        run_campaigns({spec}, {.num_threads = threads});
+    ASSERT_EQ(multi.results.size(), 1u);
+    for (std::size_t p = 0; p < kPasses; ++p) {
+      EXPECT_EQ(simulations(p), passes[p].trace.size()) << "pass " << p;
+    }
+    expect_same_experiment(multi.results[0], passes[winning_pass(passes)]);
+  }
+}
+
+TEST(IncumbentReplay, TiedMeasurementKeepsTheFirstIncumbent) {
+  // Without noise, a max_tasks cap above the task count leaves the run
+  // unchanged: two distinct configs measure the same. The first keeps the
+  // slot; only it replays.
+  ReplayWorkload w;
+  w.params.throughput_noise_sd = 0.0;
+  const auto objective = w.objective(3);
+  sim::TopologyConfig first = sim::uniform_hint_config(w.topology, 2);
+  first.batch_size = 50;
+  sim::TopologyConfig tied = first;
+  tied.max_tasks = 1000;
+  const double a = objective->evaluate(first);
+  ASSERT_GT(a, 0.0);
+  EXPECT_EQ(objective->evaluate(tied), a);
+  EXPECT_EQ(objective->num_simulations(), 2u);
+  EXPECT_EQ(objective->evaluate(first), a);
+  EXPECT_EQ(objective->num_simulations(), 2u);
+  EXPECT_EQ(objective->evaluate(tied), a);
+  EXPECT_EQ(objective->num_simulations(), 3u);
+}
+
+TEST(IncumbentReplay, SeedDependentParamsAlwaysSimulate) {
+  // Background load draws machine speeds from the seed, so no earlier run
+  // can stand in for a later one: every evaluation simulates, and the
+  // values equal a never-replaying objective's.
+  ReplayWorkload w;
+  w.params.background_load_prob = 0.3;
+  ASSERT_TRUE(sim::event_loop_reads_seed(w.params));
+  const auto objective = w.objective(9);
+  const auto reference = w.fresh(9);
+  sim::TopologyConfig c = sim::uniform_hint_config(w.topology, 2);
+  c.batch_size = 50;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(objective->evaluate(c), reference->evaluate(c));
+  }
+  EXPECT_EQ(objective->num_simulations(), 3u);
 }
 
 }  // namespace

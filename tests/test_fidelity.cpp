@@ -330,14 +330,71 @@ TEST(FidelityLadder, CampaignGoldenAndThreadCountInvariance) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    // Fresh factories per run: the per-pass ladder registry accumulates
-    // incumbent state, so reuse across runs would change the schedule.
-    const CampaignSpec fresh = ladder_spec(w, /*seed=*/21, /*steps=*/10,
-                                           /*reps=*/2, /*passes=*/2);
+    // The same spec again: a finished pass's ladder is gone, so every run
+    // builds fresh ones.
     const MultiCampaignResult multi =
-        run_campaigns({fresh}, {.num_threads = threads});
+        run_campaigns({spec}, {.num_threads = threads});
     ASSERT_EQ(multi.results.size(), 1u);
     EXPECT_EQ(fingerprint(multi.results[0]), reference);
+  }
+}
+
+TEST(FidelityLadder, FactoriesBuildAFreshLadderForEachRun) {
+  // Requesting pass 0 again after its tuner and objective are gone must not
+  // hand out the spent ladder (its incumbent, escalation bar and rung
+  // evaluation counters): a re-run reproduces the first run bit for bit.
+  const LadderWorkload w = ladder_workload();
+  const CampaignSpec spec = ladder_spec(w, /*seed=*/5, /*steps=*/20,
+                                        /*reps=*/2, /*passes=*/1);
+  auto run_pass = [&] {
+    std::unique_ptr<Tuner> tuner = spec.make_tuner(0);
+    std::unique_ptr<Objective> objective = spec.make_objective(0);
+    return run_experiment(*tuner, *objective, spec.options);
+  };
+  const std::string first = fingerprint(run_pass());
+  EXPECT_EQ(fingerprint(run_pass()), first);
+}
+
+TEST(IncumbentReplay, LadderRungTwoWinnerRepeatsWithoutSimulating) {
+  // The rung-2 objective's repetition clones share its incumbent slot, so
+  // when the winner ran at rung 2 every full-fidelity repetition replays
+  // it. The values equal fresh full-fidelity streams.
+  const LadderWorkload w = ladder_workload();
+  auto ladder = std::make_shared<FidelityLadder>(w.topology, w.cluster,
+                                                 w.params, /*seed=*/5);
+  bo::BayesOptOptions bopts;
+  bopts.seed = 5;
+  bopts.num_threads = 1;
+  bopts.hyper_mode = bo::HyperMode::kFixed;
+  LadderTuner tuner(ConfigSpace(w.topology, w.space, w.defaults), bopts,
+                    ladder);
+  ExperimentOptions options;
+  options.max_steps = 10;
+  options.best_config_reps = 4;
+
+  PassRun run;
+  run.rep_streams = true;
+  std::vector<int> rungs;
+  while (run.phase != PassPhase::kReps &&
+         advance_pass(run, tuner, *ladder, options)) {
+    if (rungs.size() < run.result.trace.size()) {
+      rungs.push_back(ladder->last_rung());
+    }
+  }
+  ASSERT_EQ(run.phase, PassPhase::kReps);
+  ASSERT_EQ(rungs.at(run.result.best_step - 1), 2);
+  const std::size_t tuning_simulations = ladder->num_simulations();
+  while (advance_pass(run, tuner, *ladder, options)) {
+  }
+  EXPECT_EQ(ladder->num_simulations(), tuning_simulations);
+
+  ASSERT_EQ(run.result.best_rep_values.size(), options.best_config_reps);
+  for (std::size_t rep = 0; rep < options.best_config_reps; ++rep) {
+    SCOPED_TRACE(rep);
+    const SimObjective full(w.topology, w.cluster, w.params, /*seed=*/5);
+    EXPECT_EQ(hexfloat(run.result.best_rep_values[rep]),
+              hexfloat(full.clone_stream(rep)->evaluate(
+                  run.result.best_config)));
   }
 }
 
