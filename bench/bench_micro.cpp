@@ -975,7 +975,6 @@ int main(int argc, char** argv) {
     constexpr const char* kSimFlag = "--simulate-json=";
     constexpr const char* kGpFlag = "--gp-json=";
     constexpr const char* kCampaignFlag = "--campaign-json=";
-    constexpr const char* kIsaFlag = "--isa=";
     if (std::strncmp(argv[i], kSimFlag, std::strlen(kSimFlag)) == 0) {
       simulate_json = argv[i] + std::strlen(kSimFlag);
     } else if (std::strncmp(argv[i], kGpFlag, std::strlen(kGpFlag)) == 0) {
@@ -983,19 +982,6 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], kCampaignFlag,
                             std::strlen(kCampaignFlag)) == 0) {
       campaign_json = argv[i] + std::strlen(kCampaignFlag);
-    } else if (std::strncmp(argv[i], kIsaFlag, std::strlen(kIsaFlag)) == 0) {
-      const char* v = argv[i] + std::strlen(kIsaFlag);
-      stormtune::isa::Path path;
-      if (std::strcmp(v, "auto") == 0) {
-        path = stormtune::isa::detect_best();
-      } else if (!stormtune::isa::parse(v, path)) {
-        std::fprintf(stderr,
-                     "--isa=%s: expected portable, avx2, avx512, neon, or "
-                     "auto\n",
-                     v);
-        return 2;
-      }
-      stormtune::isa::select(path);
     } else {
       argv[kept++] = argv[i];
     }

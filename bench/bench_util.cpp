@@ -54,25 +54,13 @@ Args Args::parse(int argc, char** argv) {
       args.threads = std::stoul(v);
     } else if (const char* v = value_of(a, "--campaigns-json")) {
       args.campaigns_json = v;
-    } else if (const char* v = value_of(a, "--isa")) {
-      isa::Path path;
-      if (std::strcmp(v, "auto") == 0) {
-        path = isa::detect_best();
-      } else if (!isa::parse(v, path)) {
-        std::fprintf(stderr,
-                     "--isa=%s: expected portable, avx2, avx512, neon, or "
-                     "auto\n",
-                     v);
-        std::exit(2);
-      }
-      isa::select(path);
     } else {
       std::fprintf(stderr,
                    "unknown argument '%s' (expected --full, --steps=N, "
                    "--bo-steps=N, --bo180=N, --reps=N, --passes=N, "
                    "--duration=S, --seed=N, --threads=N campaign pool "
                    "width incl. the caller, 0 = auto, "
-                   "--campaigns-json=FILE, --isa=PATH)\n",
+                   "--campaigns-json=FILE)\n",
                    a);
       std::exit(2);
     }

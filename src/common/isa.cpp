@@ -9,8 +9,6 @@ const char* to_string(Path p) {
   switch (p) {
     case Path::kPortable: return "portable";
     case Path::kAvx2: return "avx2";
-    case Path::kAvx512: return "avx512";
-    case Path::kNeon: return "neon";
   }
   return "unknown";
 }
@@ -18,8 +16,6 @@ const char* to_string(Path p) {
 bool parse(std::string_view name, Path& out) {
   if (name == "portable") { out = Path::kPortable; return true; }
   if (name == "avx2") { out = Path::kAvx2; return true; }
-  if (name == "avx512") { out = Path::kAvx512; return true; }
-  if (name == "neon") { out = Path::kNeon; return true; }
   return false;
 }
 
@@ -29,18 +25,6 @@ bool compiled(Path p) {
       return true;
     case Path::kAvx2:
 #ifdef STORMTUNE_HAVE_ISA_AVX2
-      return true;
-#else
-      return false;
-#endif
-    case Path::kAvx512:
-#ifdef STORMTUNE_HAVE_ISA_AVX512
-      return true;
-#else
-      return false;
-#endif
-    case Path::kNeon:
-#ifdef STORMTUNE_HAVE_ISA_NEON
       return true;
 #else
       return false;
@@ -61,18 +45,20 @@ bool cpu_supports(Path p) {
 #else
       return false;
 #endif
-    case Path::kAvx512:
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-      return __builtin_cpu_supports("avx512f") != 0;
-#else
-      return false;
-#endif
-    case Path::kNeon:
-      // NEON is architecturally guaranteed on AArch64, so compiled-in
-      // implies executable.
-      return true;
   }
   return false;
+}
+
+const char* unsupported_reason(Path p) {
+  return compiled(p) ? "is not supported by this CPU"
+                     : "is not compiled into this build";
+}
+
+/// The process-wide selection. The function-local static makes the first
+/// resolution thread-safe; afterwards only select() writes it.
+Path& active() {
+  static Path path = from_environment();
+  return path;
 }
 
 }  // namespace
@@ -80,12 +66,7 @@ bool cpu_supports(Path p) {
 bool supported(Path p) { return compiled(p) && cpu_supports(p); }
 
 Path detect_best() {
-  // Widest first. AVX-512 and AVX2 never coexist with NEON, so the order
-  // within one architecture is the only thing that matters.
-  for (const Path p : {Path::kAvx512, Path::kAvx2, Path::kNeon}) {
-    if (supported(p)) return p;
-  }
-  return Path::kPortable;
+  return supported(Path::kAvx2) ? Path::kAvx2 : Path::kPortable;
 }
 
 Path from_environment() {
@@ -98,43 +79,27 @@ Path from_environment() {
   if (!parse(env, p)) {
     std::fprintf(stderr,
                  "stormtune: STORMTUNE_ISA='%s' not recognized "
-                 "(portable|avx2|avx512|neon|auto); using portable\n",
+                 "(portable|avx2|auto); using portable\n",
                  env);
     return Path::kPortable;
   }
   if (!supported(p)) {
     std::fprintf(stderr, "stormtune: STORMTUNE_ISA=%s %s; using portable\n",
-                 to_string(p),
-                 compiled(p) ? "is not supported by this CPU"
-                             : "is not compiled into this build");
+                 to_string(p), unsupported_reason(p));
     return Path::kPortable;
   }
   return p;
 }
 
-namespace {
-Path g_selected = Path::kPortable;
-bool g_resolved = false;
-}  // namespace
-
-Path selected() {
-  if (!g_resolved) {
-    g_selected = from_environment();
-    g_resolved = true;
-  }
-  return g_selected;
-}
+Path selected() { return active(); }
 
 Path select(Path p) {
   if (!supported(p)) {
     std::fprintf(stderr, "stormtune: ISA path %s %s; using portable\n",
-                 to_string(p),
-                 compiled(p) ? "is not supported by this CPU"
-                             : "is not compiled into this build");
+                 to_string(p), unsupported_reason(p));
     p = Path::kPortable;
   }
-  g_selected = p;
-  g_resolved = true;
+  active() = p;
   return p;
 }
 

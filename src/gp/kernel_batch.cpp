@@ -1,11 +1,11 @@
 // Dispatching front end of the batched correlation transform, plus the
 // portable path (the pre-dispatch behavior every golden test pins).
 //
-// Wide paths live in kernel_batch_<isa>.cpp, each its own translation unit
-// compiled with the matching -m<isa> flag and reached only through the
-// dispatch table after a runtime CPU check. The checked-build agreement
-// sampling below wraps the dispatch, so every path — portable and wide —
-// is continuously compared against the scalar reference expressions.
+// The AVX2 path lives in kernel_batch_avx2.cpp, its own translation unit
+// compiled with -mavx2 and reached only through the dispatch table after a
+// runtime CPU check. The checked-build agreement sampling below wraps the
+// dispatch, so both paths are continuously compared against the scalar
+// reference expressions.
 #include "gp/kernel_batch.hpp"
 
 #include <cmath>
@@ -50,7 +50,7 @@ double checked_scalar_reference(KernelFamily family, double scale, double r2) {
 /// Agreement sampling: a handful of inputs per batch call are re-evaluated
 /// through the scalar reference and compared against the batch output. On
 /// the scalar fallback the two are the same expressions (exact match); on
-/// the libmvec paths — any lane width — the lanes are specified within a
+/// the libmvec paths — either lane width — the lanes are specified within a
 /// few ulp of correctly rounded exp, so 1e-12 relative (plus an absolute
 /// floor for results that underflow toward denormals) leaves three orders
 /// of magnitude of margin while still catching any use of a reassociated
@@ -171,18 +171,6 @@ TransformFn transform_for(isa::Path path) {
     case isa::Path::kAvx2:
 #ifdef STORMTUNE_HAVE_ISA_AVX2
       return transform_avx2;
-#else
-      return nullptr;
-#endif
-    case isa::Path::kAvx512:
-#ifdef STORMTUNE_HAVE_ISA_AVX512
-      return transform_avx512;
-#else
-      return nullptr;
-#endif
-    case isa::Path::kNeon:
-#ifdef STORMTUNE_HAVE_ISA_NEON
-      return transform_neon;
 #else
       return nullptr;
 #endif

@@ -1,10 +1,10 @@
 // Internal: per-ISA entry points of the batched correlation transform.
 //
 // Public code uses gp/kernel_batch.hpp, which dispatches through
-// isa::selected(). This header exists so the per-ISA translation units
-// (kernel_batch_<isa>.cpp, each compiled with its own -m<isa> flag) and the
-// agreement tests (which drive every compiled path explicitly, whatever the
-// process-wide selection is) can name the paths directly.
+// isa::selected(). This header exists so the AVX2 translation unit
+// (kernel_batch_avx2.cpp, compiled with -mavx2) and the agreement tests
+// (which drive every compiled path explicitly, whatever the process-wide
+// selection is) can name the paths directly.
 #pragma once
 
 #include <cstddef>
@@ -26,14 +26,6 @@ void transform_portable(KernelFamily family, double scale, double* buf,
 
 #ifdef STORMTUNE_HAVE_ISA_AVX2
 void transform_avx2(KernelFamily family, double scale, double* buf,
-                    std::size_t len);
-#endif
-#ifdef STORMTUNE_HAVE_ISA_AVX512
-void transform_avx512(KernelFamily family, double scale, double* buf,
-                      std::size_t len);
-#endif
-#ifdef STORMTUNE_HAVE_ISA_NEON
-void transform_neon(KernelFamily family, double scale, double* buf,
                     std::size_t len);
 #endif
 

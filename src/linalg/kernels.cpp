@@ -1,10 +1,10 @@
 // Portable micro-kernels and the ISA dispatch table.
 //
 // The portable implementations are the pre-dispatch scalar loops (the
-// compiler auto-vectorizes them at the baseline target width); the wide
-// implementations live in kernels_<isa>.cpp, each compiled as its own
-// translation unit with the matching -m<isa> flag so the rest of the
-// library never emits instructions the baseline target lacks.
+// compiler auto-vectorizes them at the baseline target width); the AVX2
+// implementations live in kernels_avx2.cpp, compiled as its own translation
+// unit with -mavx2 so the rest of the library never emits instructions the
+// baseline target lacks.
 #include "linalg/kernels.hpp"
 
 #include "linalg/kernels_blocks.hpp"
@@ -15,7 +15,7 @@ namespace stormtune::linalg_kernels {
 namespace portable {
 
 // Anonymous-namespace lane kernels inline into both the exported row-update
-// symbols (test hooks) and the block loops below; see kernels_avx512.cpp.
+// symbols (test hooks) and the block loops below; see kernels_avx2.cpp.
 namespace {
 
 inline void rank4_impl(double* __restrict__ c, const double* __restrict__ p0,
@@ -107,40 +107,6 @@ STORMTUNE_HOT void solve_lower_transpose_multi(const double* ltf, std::size_t ld
 }  // namespace avx2
 #endif
 
-#ifdef STORMTUNE_HAVE_ISA_AVX512
-namespace avx512 {
-STORMTUNE_HOT void rank4_row_update(double* c, const double* p0, const double* p1,
-                      const double* p2, const double* p3, double a0, double a1,
-                      double a2, double a3, std::size_t len);
-STORMTUNE_HOT void rank1_row_update(double* c, const double* p, double a, std::size_t len);
-STORMTUNE_HOT void cholesky_trailing_update(double* lf, const double* ltf, std::size_t ld,
-                              std::size_t k0, std::size_t k1, std::size_t n);
-STORMTUNE_HOT void givens_row_update(double* lrow, double* v, double c, double s,
-                       std::size_t len);
-STORMTUNE_HOT void solve_lower_multi(const double* lf, std::size_t ld, double* v,
-                       std::size_t m, std::size_t n);
-STORMTUNE_HOT void solve_lower_transpose_multi(const double* ltf, std::size_t ld, double* v,
-                                 std::size_t m, std::size_t n);
-}  // namespace avx512
-#endif
-
-#ifdef STORMTUNE_HAVE_ISA_NEON
-namespace neon {
-STORMTUNE_HOT void rank4_row_update(double* c, const double* p0, const double* p1,
-                      const double* p2, const double* p3, double a0, double a1,
-                      double a2, double a3, std::size_t len);
-STORMTUNE_HOT void rank1_row_update(double* c, const double* p, double a, std::size_t len);
-STORMTUNE_HOT void cholesky_trailing_update(double* lf, const double* ltf, std::size_t ld,
-                              std::size_t k0, std::size_t k1, std::size_t n);
-STORMTUNE_HOT void givens_row_update(double* lrow, double* v, double c, double s,
-                       std::size_t len);
-STORMTUNE_HOT void solve_lower_multi(const double* lf, std::size_t ld, double* v,
-                       std::size_t m, std::size_t n);
-STORMTUNE_HOT void solve_lower_transpose_multi(const double* ltf, std::size_t ld, double* v,
-                                 std::size_t m, std::size_t n);
-}  // namespace neon
-#endif
-
 namespace {
 
 constexpr KernelOps kPortableOps{portable::rank4_row_update,
@@ -156,21 +122,6 @@ constexpr KernelOps kAvx2Ops{avx2::rank4_row_update, avx2::rank1_row_update,
                              avx2::solve_lower_multi,
                              avx2::solve_lower_transpose_multi};
 #endif
-#ifdef STORMTUNE_HAVE_ISA_AVX512
-constexpr KernelOps kAvx512Ops{avx512::rank4_row_update,
-                               avx512::rank1_row_update,
-                               avx512::cholesky_trailing_update,
-                               avx512::givens_row_update,
-                               avx512::solve_lower_multi,
-                               avx512::solve_lower_transpose_multi};
-#endif
-#ifdef STORMTUNE_HAVE_ISA_NEON
-constexpr KernelOps kNeonOps{neon::rank4_row_update, neon::rank1_row_update,
-                             neon::cholesky_trailing_update,
-                             neon::givens_row_update,
-                             neon::solve_lower_multi,
-                             neon::solve_lower_transpose_multi};
-#endif
 
 }  // namespace
 
@@ -181,18 +132,6 @@ STORMTUNE_HOT const KernelOps* ops_for(isa::Path path) {
     case isa::Path::kAvx2:
 #ifdef STORMTUNE_HAVE_ISA_AVX2
       return &kAvx2Ops;
-#else
-      return nullptr;
-#endif
-    case isa::Path::kAvx512:
-#ifdef STORMTUNE_HAVE_ISA_AVX512
-      return &kAvx512Ops;
-#else
-      return nullptr;
-#endif
-    case isa::Path::kNeon:
-#ifdef STORMTUNE_HAVE_ISA_NEON
-      return &kNeonOps;
 #else
       return nullptr;
 #endif

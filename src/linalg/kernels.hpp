@@ -4,13 +4,13 @@
 //
 // Everything here is single-threaded and evaluates every floating-point
 // reduction in one fixed order (k ascending, left-associated), independent
-// of tile boundaries AND of the selected lane width: every implementation —
-// portable scalar, AVX2, AVX-512, NEON — subtracts its four products
-// left-to-right per element with separate multiply and subtract (no FMA
-// contraction), which is the same sequence a scalar k-loop would produce.
+// of tile boundaries AND of the selected lane width: both implementations —
+// portable scalar and AVX2 — subtract their four products left-to-right
+// per element with separate multiply and subtract (no FMA contraction),
+// which is the same sequence a scalar k-loop would produce.
 // That is what lets the blocked Cholesky and the multi-RHS solves match the
 // naive reference kernels element-for-element on every path, keeps GP fits
-// reproducible run-to-run, and makes the wide paths bit-identical to the
+// reproducible run-to-run, and makes the AVX2 path bit-identical to the
 // portable one (verified by tests/test_isa_dispatch.cpp).
 #pragma once
 
@@ -25,12 +25,8 @@ namespace stormtune::linalg_kernels {
 /// workload (n ≤ ~200 observations): small panels win because the trailing
 /// rank-k update then touches each destination row while it is still in L1;
 /// 16 was fastest-or-tied against 8/32/48 at n ∈ {60, 120, 180}, and wide
-/// panels (≥32) were consistently ~10–20% slower at n = 120. Override with
-/// -DSTORMTUNE_PANEL_WIDTH=<w> to retune for a different cache hierarchy.
-#ifndef STORMTUNE_PANEL_WIDTH
-#define STORMTUNE_PANEL_WIDTH 16
-#endif
-inline constexpr std::size_t kPanelWidth = STORMTUNE_PANEL_WIDTH;
+/// panels (≥32) were consistently ~10–20% slower at n = 120.
+inline constexpr std::size_t kPanelWidth = 16;
 
 /// The kernel entry points one ISA path provides. The dispatch unit is a
 /// whole block loop, not a row update: the row kernels run on a few dozen

@@ -20,8 +20,10 @@
 
 namespace stormtune::linalg_kernels::avx2 {
 
-// Anonymous-namespace lane kernels inline into both the exported row-update
-// symbols (test hooks) and the block loops below; see kernels_avx512.cpp.
+// The lane kernels live in the anonymous namespace so they inline into both
+// the exported row-update symbols (the test hooks) and the block loops
+// below — an external symbol in the dispatch table would stay a real call
+// per row, which is exactly the overhead the block entry points remove.
 namespace {
 
 inline void rank4_impl(double* c, const double* p0, const double* p1,

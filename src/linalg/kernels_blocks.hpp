@@ -1,15 +1,15 @@
-// Internal: block-level loop bodies shared by every ISA translation unit.
+// Internal: block-level loop bodies shared by both ISA translation units.
 //
 // The rank-4/rank-1 row updates are too small to sit behind an indirect
 // call: the blocked Cholesky at this library's problem sizes (n ≤ ~200,
 // trailing rows of a few dozen elements) makes hundreds of them per
-// factorization, and the call overhead erases the wide paths' gains — the
+// factorization, and the call overhead erases the AVX2 path's gains — the
 // slice-sampling refit loop spends ~40% of its time in call dispatch when
 // the row kernels are the dispatch unit. So the dispatch unit is the whole
-// block loop instead: each kernels_<isa>.cpp instantiates these templates
-// with its own lane kernels (same TU, so they inline) and exports one
-// function per routine, and matrix.cpp pays one indirect call per panel or
-// per solve sweep.
+// block loop instead: kernels.cpp and kernels_avx2.cpp each instantiate
+// these templates with their own lane kernels (same TU, so they inline)
+// and export one function per routine, and matrix.cpp pays one indirect
+// call per panel or per solve sweep.
 //
 // Bit-identity: these are the exact loop structures matrix.cpp used to run
 // inline — per element every subtraction still happens in ascending-k order,

@@ -387,7 +387,7 @@ STORMTUNE_HOT void Cholesky::append_row(std::span<const double> b,
 //
 // Determinism: columns are processed in ascending k, each rotation applied
 // left-associated per element by every ISA path (see kernels.hpp), so the
-// result is bit-identical across portable/AVX2/AVX-512/NEON.
+// result is bit-identical across the portable and AVX2 paths.
 STORMTUNE_HOT void Cholesky::remove_row(std::size_t i) {
   STORMTUNE_REQUIRE(i < n_, "Cholesky::remove_row: index out of range");
   if (i == n_ - 1) {

@@ -3,7 +3,7 @@
 // Three properties are pinned here:
 //
 //  1. The linalg micro-kernels (rank-4/rank-1 row updates) are BITWISE
-//     identical across every compiled path: each lane evaluates the same
+//     identical across both paths: each lane evaluates the same
 //     left-associated multiply/subtract sequence, and the TUs are built
 //     with -ffp-contract=off, so lane width cannot change a single bit.
 //
@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bayesopt/bayesopt.hpp"
@@ -34,6 +35,7 @@
 #include "common/rng.hpp"
 #include "gp/gp_regressor.hpp"
 #include "gp/kernel.hpp"
+#include "gp/kernel_batch.hpp"
 #include "gp/kernel_batch_paths.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
@@ -91,6 +93,9 @@ TEST(IsaDispatch, ParseAndToStringRoundTrip) {
   EXPECT_FALSE(isa::parse("auto", out));  // callers resolve "auto" themselves
   EXPECT_FALSE(isa::parse("", out));
   EXPECT_FALSE(isa::parse("sse9", out));
+  // Paths this project no longer has are unknown names, not aliases.
+  EXPECT_FALSE(isa::parse("avx512", out));
+  EXPECT_FALSE(isa::parse("neon", out));
 }
 
 TEST(IsaDispatch, PortableAlwaysRunnable) {
@@ -127,6 +132,14 @@ TEST(IsaDispatch, EnvironmentOverrideHonored) {
   // silently substituted wide path.
   ASSERT_EQ(setenv("STORMTUNE_ISA", "no-such-isa", 1), 0);
   EXPECT_EQ(isa::from_environment(), isa::Path::kPortable);
+  // A removed path name is such a request: it clamps with a note.
+  ASSERT_EQ(setenv("STORMTUNE_ISA", "avx512", 1), 0);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(isa::from_environment(), isa::Path::kPortable);
+  const std::string note = testing::internal::GetCapturedStderr();
+  EXPECT_NE(note.find("STORMTUNE_ISA='avx512' not recognized"),
+            std::string::npos)
+      << note;
   if (old) {
     setenv("STORMTUNE_ISA", saved.c_str(), 1);
   } else {
@@ -135,9 +148,9 @@ TEST(IsaDispatch, EnvironmentOverrideHonored) {
 }
 
 // Property sweep: every runnable transform path, every kernel family,
-// random r² buffers at every vector-tail length 0..7 (the widest path is
-// 8 lanes, so lengths 24..31 exercise every remainder) plus the tiny
-// lengths that never fill one vector.
+// random r² buffers at every vector-tail length 24..31 (every remainder of
+// the 4-lane AVX2 path, twice over) plus the tiny lengths that never fill
+// one vector.
 TEST(IsaDispatch, TransformAgreesWithScalarReference) {
   const double scale = 1.7;
   const gp::KernelFamily families[] = {gp::KernelFamily::kSquaredExponential,
@@ -175,9 +188,6 @@ TEST(IsaDispatch, TransformAgreesWithScalarReference) {
 // ulp bound — because the solve/factorization results feed golden tests and
 // run-to-run determinism checks that compare bits.
 TEST(IsaDispatch, RowUpdateKernelsBitIdenticalAcrossPaths) {
-#ifdef STORMTUNE_NATIVE_BUILD
-  GTEST_SKIP() << "-march=native may contract the portable reference TU";
-#endif
   const lk::KernelOps* portable = lk::ops_for(isa::Path::kPortable);
   ASSERT_NE(portable, nullptr);
   for (const isa::Path path : runnable_paths()) {
@@ -228,6 +238,35 @@ TEST(IsaDispatch, RowUpdateKernelsBitIdenticalAcrossPaths) {
             << j;
       }
     }
+  }
+}
+
+// The selection resolves lazily on first use, and nothing resolves it
+// before a library call needs a kernel — so campaign workers fitting GPs
+// concurrently may be the first users. Each ctest entry runs in its own
+// process, so here the threads below really are the first callers, and the
+// thread-sanitizer build reports any unsynchronized resolution.
+TEST(IsaDispatch, ConcurrentFirstUseResolvesOnce) {
+  constexpr std::size_t kThreads = 8;
+  std::vector<const lk::KernelOps*> tables(kThreads, nullptr);
+  std::vector<std::vector<double>> outputs(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &tables, &outputs] {
+      tables[t] = &lk::ops();
+      std::vector<double> buf = {0.0, 0.5, 1.0, 2.0, 4.0};
+      gp::correlation_from_scaled_sq_batch(
+          gp::KernelFamily::kSquaredExponential, 1.3, buf.data(), buf.size());
+      outputs[t] = std::move(buf);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  const isa::Path path = isa::selected();
+  EXPECT_EQ(path, isa::from_environment());
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(tables[t], lk::ops_for(path)) << "thread " << t;
+    EXPECT_EQ(outputs[t], outputs[0]) << "thread " << t;
   }
 }
 
@@ -290,9 +329,6 @@ TEST(IsaDispatch, FusedPredictMatchesChunkedOnEveryPath) {
 TEST(IsaDispatch, SuggestGoldenPortablePath) {
 #if !(defined(__x86_64__) && defined(__GLIBC__))
   GTEST_SKIP() << "golden values pin the glibc/x86-64 vector-exp path";
-#endif
-#ifdef STORMTUNE_NATIVE_BUILD
-  GTEST_SKIP() << "-march=native contracts non-kernel TUs";
 #endif
   const ScopedIsa pin(isa::Path::kPortable);
   bo::ParamSpace space({bo::ParamSpec::real("x", 0.0, 1.0),

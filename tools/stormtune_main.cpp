@@ -55,9 +55,9 @@
 //                   evaluations end early on convergence, and because the
 //                   stop rule is seeded and campaign-local, determinism
 //                   across thread counts still holds.
-// both:             --isa=portable|avx2|avx512|neon|auto  pin the runtime
-//                   kernel dispatch path (default: auto-detect; the
-//                   STORMTUNE_ISA environment variable is the same knob)
+// both:             the environment variable STORMTUNE_ISA=portable|avx2|auto
+//                   pins the kernel dispatch path (default auto: avx2 when
+//                   the CPU has it); every run prints the path it used
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -139,7 +139,7 @@ struct Options {
       "      run every campaign in FILE over one work-stealing scheduler;\n"
       "      per-campaign results are bit-identical to solo runs for any\n"
       "      thread count (tune options above supply the defaults)\n"
-      "both: --isa=portable|avx2|avx512|neon|auto  pin the kernel dispatch\n"
+      "both: STORMTUNE_ISA=portable|avx2|auto pins the kernel dispatch\n"
       "see the header of tools/stormtune_main.cpp for all options\n");
   std::exit(2);
 }
@@ -187,19 +187,6 @@ Options parse(int argc, char** argv, int first) {
     else if (const char* v = value_of(a, "--passes")) o.passes = std::stoul(v);
     else if (const char* v = value_of(a, "--campaigns")) o.campaigns_path = v;
     else if (const char* v = value_of(a, "--jsonl")) o.jsonl_path = v;
-    else if (const char* v = value_of(a, "--isa")) {
-      isa::Path path;
-      if (std::strcmp(v, "auto") == 0) {
-        path = isa::detect_best();
-      } else if (!isa::parse(v, path)) {
-        std::fprintf(stderr,
-                     "--isa=%s: expected portable, avx2, avx512, neon, or "
-                     "auto\n",
-                     v);
-        usage();
-      }
-      isa::select(path);
-    }
     else if (std::strcmp(a, "--adaptive-window") == 0) o.adaptive_window = true;
     else if (const char* v = value_of(a, "--adaptive-window")) {
       o.adaptive_window = true;
