@@ -503,7 +503,6 @@ double run_fidelity_workload(const sim::Topology& topology, bool ladder,
   sopts.hint_max = 8;
   bo::BayesOptOptions bopts;
   bopts.seed = 5;
-  bopts.num_threads = 1;
   bopts.hyper_mode = bo::HyperMode::kFixed;
   tuning::ExperimentOptions eopts;
   eopts.max_steps = steps;

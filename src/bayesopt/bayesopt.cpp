@@ -73,8 +73,7 @@ Json BayesOptOptions::to_json() const {
     o["hyper_refit_interval"] = hyper_refit_interval;
     o["hyper_burn_in_warm"] = hyper_burn_in_warm;
   }
-  o["seed"] = static_cast<double>(seed);
-  o["num_threads"] = num_threads;
+  o["seed"] = Json::from_uint64(seed);
   return Json(std::move(o));
 }
 
@@ -93,11 +92,7 @@ BayesOptOptions BayesOptOptions::from_json(const Json& j) {
   o.xi = j.at("xi").as_number();
   o.ucb_beta = j.at("ucb_beta").as_number();
   o.fixed_noise_variance = j.at("fixed_noise_variance").as_number();
-  o.seed = static_cast<std::uint64_t>(j.at("seed").as_number());
-  // Absent in states saved before the threading option existed.
-  o.num_threads = j.contains("num_threads")
-                      ? static_cast<std::size_t>(j.at("num_threads").as_int())
-                      : 0;
+  o.seed = j.at("seed").as_uint64();
   // Absent in states saved before the multi-fidelity ladder existed.
   if (j.contains("rung_noise_variance")) {
     for (const auto& v : j.at("rung_noise_variance").as_array()) {
@@ -133,15 +128,6 @@ BayesOpt::BayesOpt(ParamSpace space, BayesOptOptions options)
                     "BayesOpt: hyper_refit_interval must be > 0");
 }
 
-ThreadPool& BayesOpt::pool() {
-  if (!pool_) {
-    pool_ = std::make_shared<ThreadPool>(
-        options_.num_threads > 0 ? options_.num_threads
-                                 : ThreadPool::default_thread_count());
-  }
-  return *pool_;
-}
-
 /// GP surrogate over standardized targets with a set of hyperparameter
 /// samples to marginalize over.
 struct BayesOpt::Surrogate {
@@ -166,10 +152,10 @@ struct BayesOpt::Surrogate {
     return !gps.empty() && !gps.front().kernel().ard();
   }
 
-  /// Reusable scoring workspace. Each scoring shard owns one and carries it
-  /// across calls (in particular across local-search iterations), so the
-  /// distance block, the solve workspace and the mean/variance arrays are
-  /// allocated once per shard per suggest() instead of once per batch.
+  /// Reusable scoring workspace, carried across calls (in particular across
+  /// local-search iterations), so the distance block, the solve workspace
+  /// and the mean/variance arrays are allocated once per suggest() instead
+  /// of once per batch.
   struct ScoreScratch {
     Matrix d2;                        // candidates × n squared distances
     Matrix v;                         // n × candidates fused-solve workspace
@@ -230,17 +216,15 @@ struct BayesOpt::Surrogate {
     if (costed) apply_cost_divisor(ws, out);
   }
 
-  /// Acquisition averaged over the hyperparameter samples for rows
-  /// [lo, hi) of `cands`, written to out[0..hi-lo). Scores each GP against
-  /// the whole row range in one pass, so the Cholesky factor and training
-  /// inputs of one GP stay hot instead of being evicted candidate-by-
-  /// candidate. Read-only on the GPs: shards may run this concurrently on
-  /// disjoint row ranges with their own scratch.
+  /// Acquisition averaged over the hyperparameter samples for every row of
+  /// `cands`, written to `out`. Scores each GP against all rows in one
+  /// pass, so the Cholesky factor and training inputs of one GP stay hot
+  /// instead of being evicted candidate-by-candidate.
   void acquisition_rows(const BayesOptOptions& opts, const Matrix& cands,
-                        std::size_t lo, std::size_t hi, ScoreScratch& ws,
-                        std::span<double> out) const {
+                        ScoreScratch& ws, std::span<double> out) const {
+    const std::size_t m = cands.rows();
     if (shares_distances()) {
-      gps.front().unscaled_sq_dist_rows(cands, lo, hi, ws.d2);
+      gps.front().unscaled_sq_dist_rows(cands, 0, m, ws.d2);
       score_from_sq_dists(opts, ws.d2, ws, out);
       return;
     }
@@ -250,12 +234,11 @@ struct BayesOpt::Surrogate {
     std::fill(out.begin(), out.end(), 0.0);
     const bool costed = cost1_ms > 0.0;
     if (costed) {
-      ws.mean_acc.assign(hi - lo, 0.0);
-      ws.var_acc.assign(hi - lo, 0.0);
+      ws.mean_acc.assign(m, 0.0);
+      ws.var_acc.assign(m, 0.0);
     }
     for (const auto& g : gps) {
-      g.predict_rows(cands, lo, hi, ws.preds);
-      const std::size_t m = ws.preds.size();
+      g.predict_rows(cands, 0, m, ws.preds);
       ws.means.resize(m);
       ws.vars.resize(m);
       for (std::size_t i = 0; i < m; ++i) {
@@ -283,23 +266,22 @@ struct BayesOpt::Surrogate {
   void acquisition_neighbor_rows(const BayesOptOptions& opts,
                                  std::span<const double> cur,
                                  const Matrix& base_d2, const Matrix& nb,
-                                 std::size_t lo, std::size_t hi,
                                  ScoreScratch& ws, std::span<double> out) const {
     if (!shares_distances()) {
-      acquisition_rows(opts, nb, lo, hi, ws, out);
+      acquisition_rows(opts, nb, ws, out);
       return;
     }
     const Matrix& x = gps.front().inputs();
     const std::size_t n = x.rows();
     const auto base = base_d2.row(0);
-    if (ws.d2.rows() != hi - lo || ws.d2.cols() != n) {
-      ws.d2 = Matrix(hi - lo, n);
+    if (ws.d2.rows() != nb.rows() || ws.d2.cols() != n) {
+      ws.d2 = Matrix(nb.rows(), n);
     }
-    for (std::size_t r = lo; r < hi; ++r) {
+    for (std::size_t r = 0; r < nb.rows(); ++r) {
       const std::size_t j = r / 2;
       const double cj = cur[j];
       const double vj = nb(r, j);
-      const auto drow = ws.d2.row(r - lo);
+      const auto drow = ws.d2.row(r);
       for (std::size_t i = 0; i < n; ++i) {
         const double old_diff = cj - x(i, j);
         const double new_diff = vj - x(i, j);
@@ -308,18 +290,6 @@ struct BayesOpt::Surrogate {
       }
     }
     score_from_sq_dists(opts, ws.d2, ws, out);
-  }
-
-  /// Single-point convenience used by tests; identical math to the batch.
-  double acquisition(const BayesOptOptions& opts,
-                     std::span<const double> u) const {
-    Matrix q(1, u.size());
-    const auto row = q.row(0);
-    for (std::size_t j = 0; j < u.size(); ++j) row[j] = u[j];
-    double out = 0.0;
-    ScoreScratch ws;
-    acquisition_rows(opts, q, 0, 1, ws, std::span<double>(&out, 1));
-    return out;
   }
 };
 
@@ -438,8 +408,7 @@ BayesOpt::Surrogate BayesOpt::fit_surrogate() {
       // across calls: an unchanged window is reused outright, a single new
       // observation is an O(n²) Cholesky rank-grow instead of the O(n³)
       // refactorization, and a window slide additionally absorbs each
-      // eviction through the O(n²) row downdate. The constant-liar loop in
-      // suggest_batch hits the incremental path on every iteration.
+      // eviction through the O(n²) row downdate.
       std::vector<std::size_t> removals;
       std::size_t num_appends = 0;
       if (fixed_gp_ && fixed_gp_->fitted() && fixed_rows_ == window_) {
@@ -515,12 +484,11 @@ BayesOpt::Surrogate BayesOpt::fit_surrogate() {
           gp::sample_hyperparams(gp, x, y, hs, rng_, noise_ratios);
       // One refit per retained sample, each an independent O(n³) Cholesky.
       // The copies share the sampler GP's distance cache, so the refits skip
-      // the O(n²·d) pairwise loop; the pool runs one shard per sample (no
-      // RNG involved, hence deterministic for any thread count).
+      // the O(n²·d) pairwise loop.
       s.gps.assign(samples.size(), gp);
-      pool().parallel_for(samples.size(), [&](std::size_t i) {
+      for (std::size_t i = 0; i < samples.size(); ++i) {
         gp::apply_hyperparams(s.gps[i], samples[i].theta, x, y, noise_ratios);
-      });
+      }
       if (windowed) {
         warm_.valid = true;
         warm_.rows = window_;
@@ -536,8 +504,7 @@ BayesOpt::Surrogate BayesOpt::fit_surrogate() {
 
 namespace {
 
-/// Serial argmax with a lowest-index tie-break, so the winner does not
-/// depend on the order shards finished.
+/// Argmax with a lowest-index tie-break.
 std::size_t argmax_index(const std::vector<double>& v) {
   std::size_t best = 0;
   for (std::size_t i = 1; i < v.size(); ++i) {
@@ -560,29 +527,27 @@ std::vector<double> BayesOpt::maximize_acquisition(Surrogate& surrogate) {
   //    perturbations barely move and uniform draws never land near the
   //    incumbent, so sparse moves are what make local progress possible.
   //
-  // Generation is sharded a FIXED number of ways: everything a generation
-  // shard does is a pure function of (base_seed, shard index), each shard
-  // draws from its own Rng stream and writes disjoint rows of `cands` — so
-  // the candidate set is bitwise-identical for any thread count.
+  // Generation walks a FIXED 16 blocks of rows, block s drawing from its
+  // own Rng::stream(base_seed, s): those streams define the candidate set
+  // (and the suggest goldens), so they stay even though the blocks run one
+  // after another.
   //
-  // Scoring is sharded by pool width instead. A candidate's score does not
-  // depend on which batch scored it — the correlation transform is
-  // element-wise and a multi-RHS solve column is independent of the other
-  // columns in its block (see solve_lower_multi_in_place) — so the batch
-  // split is free to track the thread count while the candidate set stays
-  // pinned to the fixed generation streams. Fewer, wider batches matter:
-  // the multi-RHS solve's row length IS the batch size, and 16-way sharding
-  // fed the rank-update kernels rows too short to vectorize.
+  // Scoring is one batch over every candidate: the multi-RHS solve's row
+  // length IS the batch size, and short rows starve the rank-update kernels
+  // of vector width. A candidate's score does not depend on which batch
+  // scored it — the correlation transform is element-wise and a multi-RHS
+  // solve column is independent of the other columns in its block (see
+  // solve_lower_multi_in_place).
   const BestResult incumbent = best();
   const std::vector<double> inc_u = space_.to_unit(incumbent.x);
   const std::uint64_t base_seed = rng_();
-  constexpr std::size_t kGenShards = 16;
-  const std::size_t gen_shards = std::min(kGenShards, num_cands);
+  constexpr std::size_t kGenBlocks = 16;
+  const std::size_t gen_blocks = std::min(kGenBlocks, num_cands);
   Matrix cands(num_cands, d);
   std::vector<double> scores(num_cands);
-  pool().parallel_for(gen_shards, [&](std::size_t s) {
-    const std::size_t lo = s * num_cands / gen_shards;
-    const std::size_t hi = (s + 1) * num_cands / gen_shards;
+  for (std::size_t s = 0; s < gen_blocks; ++s) {
+    const std::size_t lo = s * num_cands / gen_blocks;
+    const std::size_t hi = (s + 1) * num_cands / gen_blocks;
     Rng rng = Rng::stream(base_seed, s);
     for (std::size_t c = lo; c < hi; ++c) {
       const auto u = cands.row(c);
@@ -610,19 +575,12 @@ std::vector<double> BayesOpt::maximize_acquisition(Surrogate& surrogate) {
         }
       }
     }
-  });
-  // One scoring workspace per scoring shard, shared by the multistart pass
-  // and every local-search iteration below — scratch buffers warm up once
-  // per suggest() and stay warm.
-  const std::size_t score_shards =
-      std::min(pool().num_threads(), num_cands);
-  std::vector<Surrogate::ScoreScratch> scratch(pool().num_threads());
-  pool().parallel_for(score_shards, [&](std::size_t s) {
-    const std::size_t lo = s * num_cands / score_shards;
-    const std::size_t hi = (s + 1) * num_cands / score_shards;
-    surrogate.acquisition_rows(options_, cands, lo, hi, scratch[s],
-                               std::span<double>(scores).subspan(lo, hi - lo));
-  });
+  }
+  // One scoring workspace, shared by the multistart pass and every local-
+  // search iteration below — scratch buffers warm up once per suggest() and
+  // stay warm.
+  Surrogate::ScoreScratch scratch;
+  surrogate.acquisition_rows(options_, cands, scratch, scores);
   std::size_t best_idx = argmax_index(scores);
   double best_val = scores[best_idx];
   std::vector<double> best_u(cands.row(best_idx).begin(),
@@ -630,8 +588,8 @@ std::vector<double> BayesOpt::maximize_acquisition(Surrogate& surrogate) {
 
   // Local coordinate refinement around the best candidate: batch-score the
   // 2d-point coordinate neighborhood of the current point each iteration
-  // (one parallel pass instead of 2d serial surrogate calls) and move to
-  // its best strict improvement.
+  // (one batch instead of 2d single-point surrogate calls) and move to its
+  // best strict improvement.
   double step = 0.1;
   std::vector<double> cur = best_u;
   Matrix nb(2 * d, d);
@@ -655,14 +613,8 @@ std::vector<double> BayesOpt::maximize_acquisition(Surrogate& surrogate) {
       for (std::size_t k = 0; k < d; ++k) row[k] = cur[k];
       surrogate.gps.front().unscaled_sq_dist_rows(cur_q, 0, 1, base_d2);
     }
-    const std::size_t nb_shards = std::min(pool().num_threads(), nb.rows());
-    pool().parallel_for(nb_shards, [&](std::size_t s) {
-      const std::size_t lo = s * nb.rows() / nb_shards;
-      const std::size_t hi = (s + 1) * nb.rows() / nb_shards;
-      surrogate.acquisition_neighbor_rows(
-          options_, cur, base_d2, nb, lo, hi, scratch[s],
-          std::span<double>(nb_scores).subspan(lo, hi - lo));
-    });
+    surrogate.acquisition_neighbor_rows(options_, cur, base_d2, nb, scratch,
+                                        nb_scores);
     const std::size_t idx = argmax_index(nb_scores);
     if (nb_scores[idx] > best_val) {
       best_val = nb_scores[idx];
@@ -684,23 +636,6 @@ ParamValues BayesOpt::suggest() {
   Surrogate surrogate = fit_surrogate();
   const std::vector<double> u = maximize_acquisition(surrogate);
   return space_.from_unit(u);
-}
-
-std::vector<ParamValues> BayesOpt::suggest_batch(std::size_t q) {
-  STORMTUNE_REQUIRE(q > 0, "BayesOpt::suggest_batch: q must be > 0");
-  pool();  // materialize before copying so the scratch shares the workers
-  BayesOpt scratch = *this;
-  std::vector<ParamValues> batch;
-  batch.reserve(q);
-  for (std::size_t i = 0; i < q; ++i) {
-    ParamValues x = scratch.suggest();
-    // The "lie": pretend the point returned the incumbent value, so the
-    // next suggestion's expected improvement there collapses.
-    const double lie = scratch.observations_.empty() ? 0.0 : scratch.best().y;
-    scratch.observe(x, lie);
-    batch.push_back(std::move(x));
-  }
-  return batch;
 }
 
 void BayesOpt::observe(ParamValues x, double y) {

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -18,7 +17,6 @@
 #include "bayesopt/param_space.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "gp/gp_regressor.hpp"
 #include "gp/hyper.hpp"
 
@@ -83,10 +81,8 @@ struct BayesOptOptions {
   /// the window slid, so this can be much smaller than hyper_burn_in.
   std::size_t hyper_burn_in_warm = 5;
   std::uint64_t seed = 42;
-  /// Threads for candidate scoring and per-sample GP refits; 0 = auto
-  /// (ThreadPool::default_thread_count()). suggest() output is
-  /// bitwise-identical for any value: work is sharded statically and every
-  /// shard draws from its own Rng stream (see thread_pool.hpp).
+  /// Ignored: suggest() runs on the calling thread. Kept only so that
+  /// existing assignments still compile; it is not serialized.
   std::size_t num_threads = 0;
 
   Json to_json() const;
@@ -115,13 +111,6 @@ class BayesOpt {
   /// Propose the next configuration to evaluate (does not record it).
   ParamValues suggest();
 
-  /// Propose `q` configurations to evaluate concurrently, using the
-  /// constant-liar heuristic: each proposal is committed to a scratch copy
-  /// of the optimizer with the incumbent value as a pseudo-observation, so
-  /// subsequent proposals explore elsewhere. This is how Spearmint kept a
-  /// cluster busy with parallel evaluation runs.
-  std::vector<ParamValues> suggest_batch(std::size_t q);
-
   /// Record the outcome of evaluating `x` (higher y is better).
   void observe(ParamValues x, double y);
 
@@ -137,7 +126,7 @@ class BayesOpt {
   /// is the rung-2 promotion threshold in raw target units (the ladder's
   /// challenge_fraction × incumbent) and Φ((μ−t)/σ) is the GP's probability
   /// that the candidate is promoted to a full run. Pure per-candidate
-  /// arithmetic — determinism and thread-count invariance are unaffected.
+  /// arithmetic — determinism is unaffected.
   /// `cost_rung1_ms <= 0` disables the division (the default). Runtime
   /// state: not serialized by save_state (costs are re-measured on resume).
   void set_acquisition_costs(double cost_rung1_ms, double cost_rung2_ms,
@@ -215,22 +204,12 @@ class BayesOpt {
   /// observe() replay rebuilds the identical window.
   std::vector<std::size_t> window_;
   std::size_t evictions_ = 0;
-  /// Lazily constructed on the first suggest() that needs it, so that the
-  /// multi-campaign scheduler can hold thousands of idle optimizers (each
-  /// pinned to num_threads = 1, whose pool owns no threads at all) without
-  /// spawning a worker set per instance. Shared so that the constant-liar
-  /// scratch copies in suggest_batch reuse the same workers instead of
-  /// spawning their own. Instances never share a pool with each other —
-  /// suggest() state is per-instance, so distinct optimizers are safe to
-  /// drive concurrently from different scheduler workers.
-  ThreadPool& pool();
-  std::shared_ptr<ThreadPool> pool_;
   // kFixed-mode surrogate, kept across suggest() calls so a single new
-  // observation is an O(n²) Cholesky rank-grow instead of an O(n³) refit —
-  // this is what makes the constant-liar suggest_batch loop cheap. With a
-  // bounded window the same object also absorbs evictions through the O(n²)
-  // Cholesky row downdate; fixed_rows_ records which observation ids its
-  // rows currently hold so fit_surrogate can diff them against window_.
+  // observation is an O(n²) Cholesky rank-grow instead of an O(n³) refit.
+  // With a bounded window the same object also absorbs evictions through
+  // the O(n²) Cholesky row downdate; fixed_rows_ records which observation
+  // ids its rows currently hold so fit_surrogate can diff them against
+  // window_.
   std::optional<gp::GpRegressor> fixed_gp_;
   std::vector<std::size_t> fixed_rows_;
   /// Warm sliding-window state for slice-sampled surrogates: the per-sample

@@ -1,6 +1,7 @@
 #include "common/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +29,35 @@ std::int64_t Json::as_int() const {
   const double r = static_cast<double>(std::llround(d));
   STORMTUNE_REQUIRE(std::abs(d - r) < 1e-9, "Json: number is not integral");
   return static_cast<std::int64_t>(r);
+}
+
+namespace {
+constexpr std::uint64_t kMaxExactInteger = std::uint64_t{1} << 53;
+}  // namespace
+
+std::uint64_t Json::as_uint64() const {
+  if (is_string()) {
+    // from_chars takes no sign, space or '+' for an unsigned type and
+    // reports overflow, so only a plain in-range digit string passes.
+    const std::string& s = as_string();
+    std::uint64_t v = 0;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    STORMTUNE_REQUIRE(ec == std::errc() && end == s.data() + s.size(),
+                      "Json: '" + s + "' is not an unsigned 64-bit integer");
+    return v;
+  }
+  const double d = as_number();
+  STORMTUNE_REQUIRE(d >= 0.0 && d <= static_cast<double>(kMaxExactInteger) &&
+                        d == std::floor(d),
+                    "Json: " + number_to_string(d) +
+                        " is not an integer in [0, 2^53] (larger values "
+                        "must be decimal strings)");
+  return static_cast<std::uint64_t>(d);
+}
+
+Json Json::from_uint64(std::uint64_t v) {
+  if (v <= kMaxExactInteger) return Json(static_cast<double>(v));
+  return Json(std::to_string(v));
 }
 
 const std::string& Json::as_string() const {

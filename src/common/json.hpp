@@ -48,6 +48,11 @@ class Json {
   bool as_bool() const;
   double as_number() const;
   std::int64_t as_int() const;
+  /// An unsigned 64-bit integer, exactly: either a string of decimal digits
+  /// or an integral number in [0, 2^53] (a JSON number above 2^53 may
+  /// already have been rounded by the parser). Throws on anything else —
+  /// negative, fractional or out-of-range values included.
+  std::uint64_t as_uint64() const;
   const std::string& as_string() const;
   const JsonArray& as_array() const;
   JsonArray& as_array();
@@ -73,6 +78,10 @@ class Json {
   /// double bit-exactly. All benchmark JSON (BENCH_*.json) numeric output
   /// goes through this one formatter. Throws on non-finite input.
   static std::string number_to_string(double d);
+
+  /// The value as_uint64() reads back exactly: a number up to 2^53, a
+  /// decimal string above it.
+  static Json from_uint64(std::uint64_t v);
 
   /// Parse a complete JSON document; throws stormtune::Error on any
   /// syntax error or trailing garbage.

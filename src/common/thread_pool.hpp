@@ -2,9 +2,10 @@
 //
 // Two execution models live here:
 //
-//  * ThreadPool — static partitioning for data-parallel numerics (the BO
-//    suggest loop). Work is `num_shards` independent shards; shard s runs
-//    on worker s % workers, so there is no scheduling nondeterminism.
+//  * ThreadPool — static partitioning for data-parallel work (the pooled
+//    pass and repetition drivers in tuning/experiment). Work is
+//    `num_shards` independent shards; shard s runs on worker s % workers,
+//    so there is no scheduling nondeterminism.
 //  * StrandPool — dynamic scheduling for many independent *sequential*
 //    jobs (the multi-campaign scheduler). Work is a set of resumable
 //    strands multiplexed over per-worker steal deques; scheduling IS

@@ -92,8 +92,7 @@ class GpRegressor {
   /// Buffer-reusing variant; resizes `out` to q.rows().
   void predict_batch(const Matrix& q, std::vector<Prediction>& out) const;
   /// Predict rows [row_begin, row_end) of `q`; resizes `out` to the range
-  /// length. This is the shard-level entry point for parallel scoring:
-  /// concurrent callers pass disjoint row ranges of a shared matrix.
+  /// length (read-only, like predict_batch).
   void predict_rows(const Matrix& q, std::size_t row_begin,
                     std::size_t row_end, std::vector<Prediction>& out) const;
 

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -209,6 +212,38 @@ TEST(BayesOpt, OptionsJsonRoundTrip) {
   EXPECT_EQ(back.seed, o.seed);
 }
 
+TEST(BayesOpt, SeedRoundTripsExactlyThroughSavedState) {
+  // Seeds above 2^53 have no exact double, so the state must not store
+  // them as one.
+  for (const std::uint64_t seed :
+       {std::uint64_t{777}, (std::uint64_t{1} << 53) + 1,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    BayesOpt opt(branin_space(), fast_options(seed));
+    opt.observe({1.0, 2.0}, 3.0);
+    const std::string text = opt.save_state().dump();
+    const BayesOpt resumed = BayesOpt::load_state(Json::parse(text));
+    EXPECT_EQ(resumed.options().seed, seed);
+  }
+}
+
+TEST(BayesOpt, LegacyNumericSeedLoadsAndBadSeedsAreRejected) {
+  BayesOpt opt(branin_space(), fast_options(5));
+  opt.observe({1.0, 2.0}, 3.0);
+  Json state = opt.save_state();
+  EXPECT_FALSE(state.at("options").contains("num_threads"));
+  // Older states carry the seed as a plain number, next to a thread count
+  // that is no longer read.
+  state["options"]["seed"] = Json(12345.0);
+  state["options"]["num_threads"] = Json(4);
+  const BayesOpt resumed = BayesOpt::load_state(state);
+  EXPECT_EQ(resumed.options().seed, 12345u);
+  EXPECT_EQ(resumed.num_observations(), 1u);
+  for (const double bad : {-1.0, 1.5, 0x1p64}) {
+    state["options"]["seed"] = Json(bad);
+    EXPECT_THROW(BayesOpt::load_state(state), Error) << bad;
+  }
+}
+
 TEST(BayesOpt, ExploresAfterInitialDesign) {
   // Suggestions after the initial design should not all collapse onto a
   // single point when observations differ.
@@ -223,43 +258,6 @@ TEST(BayesOpt, ExploresAfterInitialDesign) {
     if (std::abs(obs[i].x[0] - obs[5].x[0]) > 1e-6) distinct = true;
   }
   EXPECT_TRUE(distinct);
-}
-
-TEST(BayesOpt, SuggestBatchReturnsDistinctPoints) {
-  BayesOpt opt(branin_space(), fast_options(30));
-  for (int i = 0; i < 8; ++i) {
-    const ParamValues x = opt.suggest();
-    opt.observe(x, neg_branin(x[0], x[1]));
-  }
-  const auto batch = opt.suggest_batch(4);
-  ASSERT_EQ(batch.size(), 4u);
-  // The constant liar should push proposals apart: at least one pair must
-  // be clearly separated.
-  double max_dist = 0.0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_GE(batch[i][0], -5.0);
-    EXPECT_LE(batch[i][0], 10.0);
-    for (std::size_t j = i + 1; j < batch.size(); ++j) {
-      const double dx = batch[i][0] - batch[j][0];
-      const double dy = batch[i][1] - batch[j][1];
-      max_dist = std::max(max_dist, dx * dx + dy * dy);
-    }
-  }
-  EXPECT_GT(max_dist, 1e-6);
-  // The real optimizer's history is untouched.
-  EXPECT_EQ(opt.num_observations(), 8u);
-}
-
-TEST(BayesOpt, SuggestBatchWorksWithEmptyHistory) {
-  BayesOpt opt(branin_space(), fast_options(31));
-  const auto batch = opt.suggest_batch(3);
-  EXPECT_EQ(batch.size(), 3u);
-  EXPECT_EQ(opt.num_observations(), 0u);
-}
-
-TEST(BayesOpt, SuggestBatchRejectsZero) {
-  BayesOpt opt(branin_space(), fast_options(32));
-  EXPECT_THROW(opt.suggest_batch(0), Error);
 }
 
 // Sliding-window sweep: the bounded-window optimizer must agree bit for bit

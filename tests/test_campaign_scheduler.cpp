@@ -186,7 +186,6 @@ TEST(CampaignScheduler, BayesOptCampaignsMatchSoloRuns) {
                        base](std::size_t pass) -> std::unique_ptr<Tuner> {
       bo::BayesOptOptions bopts;
       bopts.seed = base * 7919 + pass;
-      bopts.num_threads = 1;  // campaigns are the parallelism here
       return std::make_unique<BayesTuner>(ConfigSpace(t, sopts, defaults),
                                           bopts);
     };

@@ -287,7 +287,6 @@ LadderCampaignConfig ladder_campaign_config(const LadderWorkload& w,
   lc.space = w.space;
   lc.defaults = w.defaults;
   lc.bo.seed = seed;
-  lc.bo.num_threads = 1;
   lc.bo.hyper_mode = bo::HyperMode::kFixed;
   lc.objective_seed = seed;
   return lc;
@@ -364,7 +363,6 @@ TEST(IncumbentReplay, LadderRungTwoWinnerRepeatsWithoutSimulating) {
                                                  w.params, /*seed=*/5);
   bo::BayesOptOptions bopts;
   bopts.seed = 5;
-  bopts.num_threads = 1;
   bopts.hyper_mode = bo::HyperMode::kFixed;
   LadderTuner tuner(ConfigSpace(w.topology, w.space, w.defaults), bopts,
                     ladder);
@@ -425,7 +423,6 @@ TEST(FidelityLadder, TracksFullFidelityCampaignsOnPaperTopologies) {
     protocol.best_config_reps = 2;
     bo::BayesOptOptions bopts;
     bopts.seed = kSeed;
-    bopts.num_threads = 1;
     bopts.hyper_mode = bo::HyperMode::kFixed;
     BayesTuner full_tuner(ConfigSpace(w.topology, w.space, w.defaults),
                           bopts, "bo");

@@ -364,5 +364,61 @@ TEST(IsaDispatch, SuggestGoldenPortablePath) {
   }
 }
 
+// Windowed slice sampling: every suggest below runs after evictions, and
+// with hyper_refit_interval = 2 they alternate between warm hyper refreshes
+// (the sampler plus one apply_hyperparams refit per retained sample) and
+// incremental slides of the per-sample GPs. Captured while suggest() still
+// ran those refits and its scoring on an internal thread pool.
+TEST(IsaDispatch, WindowedSuggestGoldenPortablePath) {
+#if !(defined(__x86_64__) && defined(__GLIBC__))
+  GTEST_SKIP() << "golden values pin the glibc/x86-64 vector-exp path";
+#endif
+  const ScopedIsa pin(isa::Path::kPortable);
+  bo::ParamSpace space({bo::ParamSpec::real("x", 0.0, 1.0),
+                        bo::ParamSpec::real("w", -2.0, 2.0),
+                        bo::ParamSpec::integer("k", 1, 10)});
+  bo::BayesOptOptions opts;
+  opts.hyper_mode = bo::HyperMode::kSliceSample;
+  opts.hyper_samples = 3;
+  opts.hyper_burn_in = 3;
+  opts.hyper_burn_in_warm = 2;
+  opts.num_candidates = 64;
+  opts.local_search_iters = 5;
+  opts.max_observations = 8;
+  opts.hyper_refit_interval = 2;
+  opts.seed = 2016;
+  bo::BayesOpt opt(space, opts);
+  Rng rng(78);
+  // Interior optimum, so the proposals do not pile up on the box corners.
+  const auto f = [](const bo::ParamValues& x) {
+    return -(x[0] - 0.6) * (x[0] - 0.6) - 0.2 * (x[1] - 0.5) * (x[1] - 0.5) -
+           0.02 * (x[2] - 4.0) * (x[2] - 4.0);
+  };
+  for (int i = 0; i < 12; ++i) {
+    auto x = space.sample(rng);
+    const double y = f(x) + 0.1 * rng.normal();
+    opt.observe(std::move(x), y);
+  }
+  ASSERT_EQ(opt.num_evictions(), 4u);
+  const double golden[6][3] = {
+      {0x1.acf0212056683p-2, 0x1.10f8fedf278d6p+0, 0x1p+2},
+      {0x1.5c308b87498c2p-1, 0x1.49ac972aa274p-1, 0x1p+2},
+      {0x1p+0, 0x1.9ed8c9fddd8e4p+0, 0x1.4p+2},
+      {0x0p+0, 0x1.edf8e0f1e3f7ep+0, 0x1.4p+3},
+      {0x1.75ca2520e325cp-1, 0x1.71a318621e06cp+0, 0x1p+0},
+      {0x1.3568df6eb5dedp-1, 0x1.d9b16f522bb04p-1, 0x1p+2},
+  };
+  for (int s = 0; s < 6; ++s) {
+    const auto x = opt.suggest();
+    ASSERT_EQ(x.size(), 3u);
+    for (int k = 0; k < 3; ++k) {
+      EXPECT_EQ(x[k], golden[s][k]) << "suggest " << s << " param " << k;
+    }
+    opt.observe(x, f(x));
+  }
+  EXPECT_EQ(opt.window_size(), 8u);
+  EXPECT_EQ(opt.num_evictions(), 10u);
+}
+
 }  // namespace
 }  // namespace stormtune

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/error.hpp"
@@ -197,6 +198,20 @@ TEST(Json, CanonicalNumberFormatterRejectsNonFinite) {
   EXPECT_THROW(Json::number_to_string(
                    std::numeric_limits<double>::quiet_NaN()),
                Error);
+}
+
+TEST(Json, Uint64RoundTripsExactlyAndRejectsEverythingElse) {
+  for (const std::uint64_t v :
+       {std::uint64_t{777}, std::uint64_t{1} << 53,
+        (std::uint64_t{1} << 53) + 1, ~std::uint64_t{0}}) {
+    EXPECT_EQ(Json::parse(Json::from_uint64(v).dump()).as_uint64(), v);
+  }
+  for (const Json& bad :
+       {Json(-1.0), Json(1.5), Json(0x1p53 + 2.0), Json(0x1p64), Json(true),
+        Json(""), Json("-1"), Json("+1"), Json(" 1"), Json("1.5"),
+        Json("18446744073709551616")}) {
+    EXPECT_THROW(bad.as_uint64(), Error) << bad.dump();
+  }
 }
 
 TEST(Json, HugeNumbersSkipIntegerFastPathSafely) {

@@ -330,9 +330,7 @@ int cmd_simulate(const Options& o) {
   return 0;
 }
 
-/// Tuner construction shared by `tune` and `tune-many`. `bo_threads` sizes
-/// the optimizer's internal pool (tune-many pins it to 1 — campaigns are
-/// the parallelism there, and a 1-thread pool owns no threads at all).
+/// Search-space options shared by `tune` and `tune-many`.
 tuning::SpaceOptions space_options_from(const Options& o) {
   tuning::SpaceOptions sopts;
   sopts.tune_hints = o.what.find('h') != std::string::npos;
@@ -347,11 +345,9 @@ tuning::SpaceOptions space_options_from(const Options& o) {
 /// modes compose with per-rung noise too (apply_hyperparams'
 /// noise_ratio_diag); the CLI sticks with kFixed as the cheap default.
 bo::BayesOptOptions ladder_bo_options_from(const Options& o,
-                                           std::uint64_t seed,
-                                           std::size_t bo_threads) {
+                                           std::uint64_t seed) {
   bo::BayesOptOptions bopts;
   bopts.seed = seed;
-  bopts.num_threads = bo_threads;
   bopts.hyper_mode = bo::HyperMode::kFixed;
   bopts.max_observations = o.gp_window;
   return bopts;
@@ -378,10 +374,10 @@ void require_ladder_strategy(const Options& o) {
   }
 }
 
+/// Tuner construction shared by `tune` and `tune-many`.
 std::unique_ptr<tuning::Tuner> build_tuner(const Options& o, const Workload& w,
                                            const sim::TopologyConfig& defaults,
-                                           std::uint64_t seed,
-                                           std::size_t bo_threads) {
+                                           std::uint64_t seed) {
   tuning::SpaceOptions sopts = space_options_from(o);
 
   if (o.strategy == "pla" || o.strategy == "ipla") {
@@ -395,7 +391,6 @@ std::unique_ptr<tuning::Tuner> build_tuner(const Options& o, const Workload& w,
   if (o.strategy == "bo" || o.strategy == "ibo") {
     bo::BayesOptOptions bopts;
     bopts.seed = seed;
-    bopts.num_threads = bo_threads;
     bopts.max_observations = o.gp_window;
     return std::make_unique<tuning::BayesTuner>(
         tuning::ConfigSpace(w.topology, sopts, defaults), bopts, o.strategy);
@@ -423,11 +418,11 @@ int cmd_tune(const Options& o) {
         w.topology, w.cluster, w.params, o.seed, ladder_options_from(o));
     tuner = std::make_unique<tuning::LadderTuner>(
         tuning::ConfigSpace(w.topology, space_options_from(o), defaults),
-        ladder_bo_options_from(o, o.seed, /*bo_threads=*/0), ladder,
+        ladder_bo_options_from(o, o.seed), ladder,
         o.strategy + "+ladder");
     objective = ladder.get();
   } else {
-    tuner = build_tuner(o, w, defaults, o.seed, /*bo_threads=*/0);
+    tuner = build_tuner(o, w, defaults, o.seed);
     sim_objective = std::make_unique<tuning::SimObjective>(
         w.topology, w.cluster, w.params, o.seed);
     objective = sim_objective.get();
@@ -499,7 +494,7 @@ Options campaign_options(const Options& base, const Json& entry) {
     o.passes = static_cast<std::size_t>(entry.at("passes").as_int());
   }
   if (entry.contains("seed")) {
-    o.seed = static_cast<std::uint64_t>(entry.at("seed").as_number());
+    o.seed = entry.at("seed").as_uint64();
   }
   if (entry.contains("duration")) o.duration_s = entry.at("duration").as_number();
   if (entry.contains("tiim")) o.tiim = entry.at("tiim").as_bool();
@@ -589,8 +584,7 @@ int cmd_tune_many(const Options& cli) {
       lc.params = ctx->workload.params;
       lc.space = space_options_from(ctx->opts);
       lc.defaults = ctx->defaults;
-      lc.bo = ladder_bo_options_from(ctx->opts, ctx->opts.seed,
-                                     /*bo_threads=*/1);
+      lc.bo = ladder_bo_options_from(ctx->opts, ctx->opts.seed);
       lc.ladder = ladder_options_from(ctx->opts);
       lc.objective_seed = ctx->opts.seed;
       lc.tuner_name = ctx->opts.strategy + "+ladder";
@@ -601,7 +595,7 @@ int cmd_tune_many(const Options& cli) {
     } else {
       spec.make_tuner = [ctx](std::size_t pass) {
         return build_tuner(ctx->opts, ctx->workload, ctx->defaults,
-                           ctx->opts.seed * 7919 + pass, /*bo_threads=*/1);
+                           ctx->opts.seed * 7919 + pass);
       };
       spec.make_objective =
           [ctx](std::size_t pass) -> std::unique_ptr<tuning::Objective> {
