@@ -7,9 +7,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <utility>
 
 #include "bayesopt/bayesopt.hpp"
 #include "common/isa.hpp"
@@ -20,6 +23,7 @@
 #include "gp/gp_regressor.hpp"
 #include "stormsim/engine.hpp"
 #include "stormsim/fluid.hpp"
+#include "topology/literature.hpp"
 #include "topology/sundog.hpp"
 #include "topology/synthetic.hpp"
 #include "tuning/campaign_scheduler.hpp"
@@ -665,10 +669,31 @@ void write_simulate_record(const std::string& path) {
         time_simulate_ms(topology, topo::sundog_baseline_config(topology),
                          topo::sundog_cluster(), params, 4);
   }
+  // The literature topologies keep only 16-23 machines in the departure
+  // heap, where structures tuned for ~60 lose (DESIGN.md §8); their rows
+  // guard that end. Batch size 1000 is the CLI default for them.
+  const std::pair<const char*, sim::Topology (*)()> literature[] = {
+      {"debs13", topo::build_debs13},
+      {"linear_road_compact", topo::build_linear_road_compact}};
+  for (const auto& [name, build] : literature) {
+    const sim::Topology topology = build();
+    sim::SimParams params = topo::synthetic_sim_params();
+    params.duration_s = 15.0;
+    sim::TopologyConfig config = sim::uniform_hint_config(topology, 8);
+    config.batch_size = 1000;
+    workloads[std::string("simulate/") + name] = time_simulate_ms(
+        topology, config, topo::paper_cluster(), params, 40);
+  }
+  // Host stamp: these are wall-clock means on a possibly shared machine.
+  double load[1] = {-1.0};
+  if (getloadavg(load, 1) != 1) load[0] = -1.0;
   JsonObject record;
   record["benchmark"] = "simulate";
   record["unit"] = "ms_per_run";
   record["isa"] = isa::to_string(isa::selected());
+  record["nproc"] =
+      static_cast<std::size_t>(std::thread::hardware_concurrency());
+  record["load1"] = load[0];
   record["window_s"] = 15.0;
   record["workloads"] = std::move(workloads);
   std::ofstream out(path);

@@ -11,7 +11,13 @@
 //
 // Like DaryHeap, deterministic use requires Less to be a total order over
 // the stored priorities (include a sequence number); then top() is a pure
-// function of the current {key -> priority} map.
+// function of the current {key -> priority} map, whatever the arity.
+//
+// Binary by default: the engine's departure keys sink from the root after
+// every departure, and each level's child comparison is a coin flip the
+// branch predictor cannot learn. sift_down therefore picks the smaller
+// child arithmetically, so a binary level costs one unpredictable branch
+// (stop or descend), not two or more (DESIGN.md §8).
 #pragma once
 
 #include <cstddef>
@@ -24,7 +30,7 @@
 
 namespace stormtune {
 
-template <typename P, std::size_t Arity = 4, typename Less = std::less<P>>
+template <typename P, std::size_t Arity = 2, typename Less = std::less<P>>
 class IndexedHeap {
   static_assert(Arity >= 2, "IndexedHeap: arity must be at least 2");
 
@@ -187,7 +193,10 @@ class IndexedHeap {
       const std::size_t last = std::min(first + Arity, n);
       std::size_t best = first;
       for (std::size_t c = first + 1; c < last; ++c) {
-        if (less_(heap_[c].priority, heap_[best].priority)) best = c;
+        // Index arithmetic, not `less ? c : best`: gcc turns that select
+        // back into a data-dependent branch.
+        best += (c - best) * static_cast<std::size_t>(
+                                 less_(heap_[c].priority, heap_[best].priority));
       }
       if (!less_(heap_[best].priority, value.priority)) break;
       heap_[i] = std::move(heap_[best]);

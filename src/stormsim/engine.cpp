@@ -186,10 +186,13 @@ struct DepartureKey {
   std::uint64_t seq = 0;
 };
 
+/// The same total order as EdgeEventEarlier, evaluated without branches
+/// (bitwise, not short-circuit) so a sift's child pick has no jump to
+/// mispredict. It returns the same value for every input, NaN included:
+/// both forms are false whenever either time is NaN.
 struct DepartureEarlier {
   bool operator()(const DepartureKey& x, const DepartureKey& y) const {
-    if (x.time != y.time) return x.time < y.time;
-    return x.seq < y.seq;
+    return (x.time < y.time) | ((x.time == y.time) & (x.seq < y.seq));
   }
 };
 
@@ -251,7 +254,7 @@ struct SimWorkspace {
   std::size_t jobs_used_ = 0;
   std::uint64_t job_ticket_ = 0;
   DaryHeap<EdgeEvent, 4, EdgeEventEarlier> edge_events_;
-  IndexedHeap<DepartureKey, 4, DepartureEarlier> departures_;  // by machine
+  IndexedHeap<DepartureKey, 2, DepartureEarlier> departures_;  // by machine
   // Departure updates are buffered and sifted into the heap only when the
   // event loop next reads it (see flush_departures): processing one event
   // reschedules the same machine several times, and only the last key is
@@ -1091,10 +1094,10 @@ STORMTUNE_HOT const SimResult& SimWorkspace::run(const Topology& topology,
   emit_ready_batches();
 
   // Event loop over two queues: the 4-ary heap of edge arrivals and the
-  // indexed heap of per-machine departures. Both order by (time, seq) with
-  // seq drawn from one shared counter, so the merged order is exactly the
-  // old single-queue order — minus the stale departure entries, which no
-  // longer exist to be popped and discarded.
+  // binary indexed heap of per-machine departures. Both order by
+  // (time, seq) with seq drawn from one shared counter, so the merged order
+  // is exactly the old single-queue order — minus the stale departure
+  // entries, which no longer exist to be popped and discarded.
   while (true) {
     if (!dep_dirty_.empty()) flush_departures();
     const bool have_edge = !edge_events_.empty();

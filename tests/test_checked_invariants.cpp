@@ -69,7 +69,7 @@ TEST(CheckedBuild, InvariantErrorBypassesErrorHandlers) {
 
 TEST(CheckedBuild, IndexedHeapDetectsHeapPropertyCorruption) {
 #ifdef STORMTUNE_CHECKED
-  IndexedHeap<double> h(8);
+  IndexedHeap<double, 2> h(8);  // the arity the engine's departure heap uses
   for (std::size_t k = 0; k < 8; ++k) {
     h.set(k, static_cast<double>(k));
   }
@@ -85,7 +85,7 @@ TEST(CheckedBuild, IndexedHeapDetectsHeapPropertyCorruption) {
 
 TEST(CheckedBuild, IndexedHeapDetectsIndexMapCorruption) {
 #ifdef STORMTUNE_CHECKED
-  IndexedHeap<double> h(4);
+  IndexedHeap<double, 2> h(4);
   h.set(0, 3.0);
   h.set(1, 1.0);
   EXPECT_NO_THROW(h.checked_verify());

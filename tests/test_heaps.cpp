@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <map>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "common/dary_heap.hpp"
@@ -87,13 +88,22 @@ TEST(DaryHeap, WorksAtOtherArities) {
 }
 
 /// Brute-force mirror of IndexedHeap: a key -> priority map scanned for its
-/// minimum. Priorities are (value, seq) so the minimum is always unique.
+/// minimum. Priorities are (value, seq) so the minimum is always unique;
+/// values 0..30 give many exact first-component ties, which the seq breaks.
 using Priority = std::pair<double, std::uint64_t>;
 
-TEST(IndexedHeap, SetEraseTopMatchBruteForce) {
+/// Runs at the arity the engine ships (2) and at a wider one (4), so the
+/// arithmetic child pick is checked both with one and with several siblings.
+template <typename Arity>
+class IndexedHeapArity : public ::testing::Test {};
+using Arities = ::testing::Types<std::integral_constant<std::size_t, 2>,
+                                 std::integral_constant<std::size_t, 4>>;
+TYPED_TEST_SUITE(IndexedHeapArity, Arities);
+
+TYPED_TEST(IndexedHeapArity, SetEraseTopMatchBruteForce) {
   constexpr std::size_t kKeys = 37;
   Rng rng(4);
-  IndexedHeap<Priority> heap(kKeys);
+  IndexedHeap<Priority, TypeParam::value> heap(kKeys);
   std::map<std::size_t, Priority> reference;
   std::uint64_t seq = 0;
   for (int step = 0; step < 20000; ++step) {

@@ -1,12 +1,16 @@
 // detlint v2 — project-wide call graph.
 //
 // Builds a cross-TU symbol table over every indexed translation unit and
-// resolves call sites by name: an unqualified or member call resolves to
-// every project function whose last name component matches (a deliberate
-// over-approximation that covers virtual dispatch — `s->step()` reaches
-// every Strand::step override); an explicitly qualified call `A::B::f(...)`
-// resolves only to functions whose qualified name ends with that chain.
-// Names that resolve to nothing (std::, libc, lambdas) are leaves.
+// resolves call sites by name. A member call resolves only to project
+// methods (functions defined in a class's scope), never to a free
+// function: to the same-named methods of its receiver's declared classes,
+// their bases and their derived classes when every declaration of the
+// receiver names a project class (so `s->step()` on a `Strand&` reaches
+// every override), else to every same-named method. An unqualified call
+// follows C++ scope lookup, falling back to every same-named function. An
+// explicitly qualified call `A::B::f(...)` resolves only to functions
+// whose qualified name ends with that chain. Names that resolve to nothing
+// (std::, libc, lambdas) are leaves.
 //
 // The graph exists for one query: which allocation sites are transitively
 // reachable from a STORMTUNE_HOT root? Reachability is a BFS over resolved

@@ -125,6 +125,50 @@ std::size_t angles_open_backward(const Tokens& t, std::size_t i) {
   return npos;
 }
 
+// Words that can stand right before a name without being its type
+// (`return x;`, `delete p;`, `case k:`).
+const std::set<std::string>& non_type_words() {
+  static const std::set<std::string> k = {
+      "return", "new",      "delete", "throw",     "case",      "goto",
+      "else",   "do",       "typename", "template", "using",    "namespace",
+      "struct", "class",    "union",  "enum",      "operator",  "co_return",
+      "co_yield", "co_await", "sizeof", "public",  "private",   "protected",
+      "default", "friend",  "volatile", "constexpr", "static"};
+  return k;
+}
+
+/// Every `Type [<...>] [const|*|&|&&]... name` followed by a token that can
+/// end a declarator, anywhere in the file: (name, last component of Type).
+std::vector<std::pair<std::string, std::string>> collect_declarations(
+    const Tokens& t) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (std::size_t j = 1; j + 1 < t.size(); ++j) {
+    if (t[j].kind != Tok::kIdent) continue;
+    const std::string& next = t[j + 1].text;
+    if (next != ";" && next != "=" && next != "{" && next != "," &&
+        next != ")" && next != "(" && next != ":" && next != "[") {
+      continue;
+    }
+    std::size_t k = j - 1;
+    while (k > 0 && (t[k].text == "*" || t[k].text == "&" ||
+                     t[k].text == "&&" || t[k].text == "const")) {
+      --k;
+    }
+    if (t[k].text == ">" || t[k].text == ">>") {
+      const std::size_t lt = angles_open_backward(t, k);
+      if (lt == npos || lt == 0) continue;
+      k = lt - 1;
+    }
+    if (!is_ident(t, k) || non_type_words().count(t[k].text) ||
+        control_keywords().count(t[k].text)) {
+      continue;
+    }
+    if (k > 0 && (is(t, k - 1, ".") || is(t, k - 1, "->"))) continue;
+    out.emplace_back(t[j].text, t[k].text);
+  }
+  return out;
+}
+
 struct Scope {
   enum Kind { kNamespace, kClass, kBlock } kind;
   std::string name;  // possibly "A::B" for nested-namespace definitions
@@ -281,6 +325,7 @@ struct Extractor {
               c.qual = std::move(qual);
               c.line = t[name_i].line;
               c.member = member;
+              c.receiver = receiver;
               fn.calls.push_back(std::move(c));
             }
           }
@@ -589,6 +634,7 @@ TranslationUnit index_tu(std::string path, const std::string& text) {
   tu.tokens = lex(tu.stripped);
   Extractor ex(tu);
   ex.run();
+  tu.declarations = collect_declarations(tu.tokens);
   return tu;
 }
 

@@ -13,7 +13,8 @@
 //    parameters) is sanctioned by the repo's high-water-capacity idiom and
 //    is left to the dynamic malloc-probe tests — see DESIGN.md.
 //  * class definitions with their base-class names and class-scope token
-//    span, for the strand capture-safety rule (CONC003).
+//    span, for the strand capture-safety rule (CONC003);
+//  * the `Type name` declaration shapes, which type member-call receivers.
 //
 // Three regions are excluded from call/allocation collection because they
 // are off the steady-state path by construction: `throw` statements (the
@@ -24,6 +25,7 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "detlint/lexer.hpp"
@@ -35,6 +37,8 @@ struct CallSite {
   std::vector<std::string> qual;   // explicit A::B:: qualifier chain
   std::size_t line = 0;
   bool member = false;             // obj.name(...) / obj->name(...)
+  std::string receiver;            // `obj` of a member call when it is a
+                                   // plain identifier, else empty
 };
 
 struct AllocSite {
@@ -68,6 +72,11 @@ struct TranslationUnit {
   std::vector<Token> tokens;
   std::vector<FunctionInfo> functions;
   std::vector<ClassInfo> classes;
+  // Every `Type name` shape in the file (members, locals, parameters):
+  // (name, last component of Type). Syntax only, so some entries are not
+  // declarations at all (`a & b`); the call graph trusts a name's types
+  // only when every one of them is a project class.
+  std::vector<std::pair<std::string, std::string>> declarations;
 };
 
 /// Lex and index one file. `text` is the raw file contents.

@@ -58,6 +58,10 @@
 // both:             the environment variable STORMTUNE_ISA=portable|avx2|auto
 //                   pins the kernel dispatch path (default auto: avx2 when
 //                   the CPU has it); every run prints the path it used
+//
+// Exit status: 0 on success, 2 on bad usage, 1 on an error and also when
+// `tune` finishes without any non-zero measurement (it then prints no
+// config; a tune-many summary row shows '-' in place of that config).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -454,13 +458,28 @@ int cmd_tune(const Options& o) {
                 ls.rung1_simulated_ms, ls.rung2_simulated_ms);
   }
 
-  std::printf("best:         %.1f tuples/s (mean of %zu reps; min %.1f, "
-              "max %.1f)\n",
-              r.best_rep_stats.mean, r.best_rep_stats.n, r.best_rep_stats.min,
-              r.best_rep_stats.max);
-  std::printf("found at:     step %zu of %zu\n", r.best_step,
-              r.trace.size());
-  std::printf("config:       %s\n", r.best_config.describe().c_str());
+  // best_step == 0: no step measured a non-zero throughput, so best_config
+  // is a default-constructed placeholder that nothing ever ran.
+  const bool measured = r.best_step > 0;
+  if (!measured) {
+    std::printf("best:         none (no measurement in %zu steps was "
+                "non-zero; no config to report)\n",
+                r.trace.size());
+  } else {
+    if (r.best_rep_stats.n == 0) {
+      std::printf("best:         %.1f tuples/s (single measurement; no "
+                  "repetitions)\n",
+                  tuning::pass_score(r));
+    } else {
+      std::printf("best:         %.1f tuples/s (mean of %zu reps; min %.1f, "
+                  "max %.1f)\n",
+                  tuning::pass_score(r), r.best_rep_stats.n,
+                  r.best_rep_stats.min, r.best_rep_stats.max);
+    }
+    std::printf("found at:     step %zu of %zu\n", r.best_step,
+                r.trace.size());
+    std::printf("config:       %s\n", r.best_config.describe().c_str());
+  }
   std::printf("tuner cost:   %.3f s/step mean, %.3f s max\n",
               r.mean_suggest_seconds, r.max_suggest_seconds);
 
@@ -474,7 +493,7 @@ int cmd_tune(const Options& o) {
     out << tuning::trace_to_csv(r);
     std::printf("wrote %s\n", o.csv_path.c_str());
   }
-  return 0;
+  return measured ? 0 : 1;
 }
 
 /// One campaign's resolved options: the command-line Options as defaults,
@@ -637,7 +656,7 @@ int cmd_tune_many(const Options& cli) {
     const tuning::ExperimentResult& r = out.results[i];
     std::printf("%-24s %10.1f %4zu/%-4zu %s\n", specs[i].name.c_str(),
                 tuning::pass_score(r), r.best_step, r.trace.size(),
-                r.best_config.describe().c_str());
+                r.best_step > 0 ? r.best_config.describe().c_str() : "-");
   }
   std::printf("steals:       %llu\n",
               static_cast<unsigned long long>(out.steal_count));
