@@ -198,12 +198,13 @@ void BM_GpHyperRefitLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_GpHyperRefitLoop)->Arg(30)->Arg(60)->Arg(120);
 
-void BM_AcquisitionSearch(benchmark::State& state) {
-  // maximize_acquisition in isolation: candidate generation, batched
-  // per-GP scoring, and local refinement, with the surrogate held fixed.
-  // Measured through suggest() on a kFixed surrogate so no MCMC time is
-  // included; the kept-surrogate reuse path makes every iteration after the
-  // first skip the fit entirely.
+/// maximize_acquisition in isolation: candidate generation, batched
+/// per-GP scoring, and local refinement, with the surrogate held fixed.
+/// Measured through suggest() on a kFixed surrogate so no MCMC time is
+/// included; the kept-surrogate reuse path makes every suggest after the
+/// first skip the fit entirely. 51 dimensions (the medium topology),
+/// `observations` random points.
+bo::BayesOpt acquisition_search_optimizer(std::size_t observations) {
   const std::size_t dims = 51;
   std::vector<bo::ParamSpec> specs;
   for (std::size_t i = 0; i < dims; ++i) {
@@ -215,15 +216,62 @@ void BM_AcquisitionSearch(benchmark::State& state) {
   opts.seed = 7;
   bo::BayesOpt opt(bo::ParamSpace(specs), opts);
   Rng rng(8);
-  for (std::int64_t i = 0; i < state.range(0); ++i) {
+  for (std::size_t i = 0; i < observations; ++i) {
     auto x = opt.space().sample(rng);
     opt.observe(std::move(x), rng.normal());
   }
+  return opt;
+}
+
+void BM_AcquisitionSearch(benchmark::State& state) {
+  bo::BayesOpt opt =
+      acquisition_search_optimizer(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(opt.suggest());
   }
 }
 BENCHMARK(BM_AcquisitionSearch)->Arg(60)->Unit(benchmark::kMillisecond);
+
+/// A GP over `n` random points in the 51-dimensional unit cube and a
+/// coordinate-major block of `m` random candidates (one per column) — the
+/// acquisition's distance-block inputs.
+struct CandidateBlock {
+  gp::GpRegressor gp;
+  Matrix cands;
+};
+
+CandidateBlock candidate_block(std::size_t n, std::size_t m) {
+  const std::size_t d = 51;
+  Rng rng(12);
+  Matrix x(n, d);
+  Vector y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < d; ++j) x(i, j) = rng.uniform();
+    y[i] = rng.normal();
+  }
+  gp::GpRegressor gp(gp::Kernel(gp::KernelFamily::kMatern52, d, false), 1e-3);
+  gp.fit(x, y);
+  Matrix cands(d, m);
+  for (std::size_t j = 0; j < d; ++j) {
+    for (std::size_t c = 0; c < m; ++c) cands(j, c) = rng.uniform();
+  }
+  return {std::move(gp), std::move(cands)};
+}
+
+void BM_CandidateSqDist(benchmark::State& state) {
+  // The acquisition's candidate distance block alone: range(0) training
+  // points against 512 candidates in 51 dimensions, through the selected
+  // sq_dist_block path.
+  const CandidateBlock b =
+      candidate_block(static_cast<std::size_t>(state.range(0)), 512);
+  Matrix d2;
+  for (auto _ : state) {
+    b.gp.unscaled_sq_dists(b.cands, d2);
+    benchmark::DoNotOptimize(d2.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_CandidateSqDist)->Arg(30)->Arg(60);
 
 void BM_AcquisitionBatch(benchmark::State& state) {
   // The per-batch acquisition accumulation in isolation: one
@@ -628,21 +676,46 @@ void BM_DetlintAnalyze(benchmark::State& state) {
 }
 BENCHMARK(BM_DetlintAnalyze)->Unit(benchmark::kMillisecond);
 
+/// The 1-minute load average, or -1 when unavailable: the host stamp of the
+/// wall-clock records below.
+double load1() {
+  double load[1] = {-1.0};
+  if (getloadavg(load, 1) != 1) return -1.0;
+  return load[0];
+}
+
+/// Median of three timed repetitions of `body(iters)`, in µs per op.
+template <typename F>
+double median3_us_per_op(std::size_t iters, F&& body) {
+  double reps[3];
+  for (double& r : reps) {
+    const auto t0 = std::chrono::steady_clock::now();
+    body(iters);
+    const auto t1 = std::chrono::steady_clock::now();
+    r = std::chrono::duration<double, std::micro>(t1 - t0).count() /
+        static_cast<double>(iters);
+  }
+  std::sort(reps, reps + 3);
+  return reps[1];
+}
+
+/// Median of three repetitions of `iters` fresh-workspace simulate() calls,
+/// in ms per run, after one warm-up run that keeps first-touch page faults
+/// out of the record.
 double time_simulate_ms(const sim::Topology& topology,
                         const sim::TopologyConfig& config,
                         const sim::ClusterSpec& cluster,
                         const sim::SimParams& params, std::size_t iters) {
   std::uint64_t seed = 1;
-  // One warm-up run keeps first-touch page faults out of the record.
   sim::simulate(topology, config, cluster, params, seed++);
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < iters; ++i) {
-    const auto r = sim::simulate(topology, config, cluster, params, seed++);
-    benchmark::DoNotOptimize(r.throughput_tuples_per_s);
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count() /
-         static_cast<double>(iters);
+  return median3_us_per_op(iters, [&](std::size_t n) {
+           for (std::size_t i = 0; i < n; ++i) {
+             const auto r =
+                 sim::simulate(topology, config, cluster, params, seed++);
+             benchmark::DoNotOptimize(r.throughput_tuples_per_s);
+           }
+         }) *
+         1e-3;
 }
 
 /// Timing record of the simulate workloads, written next to the benchmark
@@ -684,36 +757,21 @@ void write_simulate_record(const std::string& path) {
     workloads[std::string("simulate/") + name] = time_simulate_ms(
         topology, config, topo::paper_cluster(), params, 40);
   }
-  // Host stamp: these are wall-clock means on a possibly shared machine.
-  double load[1] = {-1.0};
-  if (getloadavg(load, 1) != 1) load[0] = -1.0;
+  // Host stamp: these are wall-clock medians on a possibly shared machine.
+  const double load = load1();
   JsonObject record;
   record["benchmark"] = "simulate";
   record["unit"] = "ms_per_run";
+  record["statistic"] = "median_of_3_reps";
   record["isa"] = isa::to_string(isa::selected());
   record["nproc"] =
       static_cast<std::size_t>(std::thread::hardware_concurrency());
-  record["load1"] = load[0];
+  record["load1"] = load;
   record["window_s"] = 15.0;
   record["workloads"] = std::move(workloads);
   std::ofstream out(path);
   out << Json(std::move(record)).dump(2) << '\n';
   std::printf("wrote %s\n", path.c_str());
-}
-
-/// Median of three timed repetitions of `body(iters)`, in µs per op.
-template <typename F>
-double median3_us_per_op(std::size_t iters, F&& body) {
-  double reps[3];
-  for (double& r : reps) {
-    const auto t0 = std::chrono::steady_clock::now();
-    body(iters);
-    const auto t1 = std::chrono::steady_clock::now();
-    r = std::chrono::duration<double, std::micro>(t1 - t0).count() /
-        static_cast<double>(iters);
-  }
-  std::sort(reps, reps + 3);
-  return reps[1];
 }
 
 /// Timing record of the GP / linear-algebra workloads (the PR-3 kernel
@@ -837,6 +895,28 @@ void write_gp_record(const std::string& path) {
           }
         });
   }
+  {
+    bo::BayesOpt opt = acquisition_search_optimizer(60);
+    benchmark::DoNotOptimize(opt.suggest());  // warm-up: fits the surrogate
+    workloads["acquisition_search/60"] =
+        median3_us_per_op(20, [&](std::size_t iters) {
+          for (std::size_t i = 0; i < iters; ++i) {
+            benchmark::DoNotOptimize(opt.suggest());
+          }
+        });
+  }
+  {
+    const CandidateBlock b = candidate_block(60, 512);
+    Matrix d2;
+    b.gp.unscaled_sq_dists(b.cands, d2);  // warm-up: sizes the block
+    workloads["candidate_sq_dist/60x512"] =
+        median3_us_per_op(400, [&](std::size_t iters) {
+          for (std::size_t i = 0; i < iters; ++i) {
+            b.gp.unscaled_sq_dists(b.cands, d2);
+            benchmark::DoNotOptimize(d2.data());
+          }
+        });
+  }
   for (const std::size_t history : {150ul, 500ul}) {
     // Windowed observe+suggest at a fixed 60-point window over a growing
     // history — the BM_SlidingWindowSuggest workload. The two rows must
@@ -875,6 +955,9 @@ void write_gp_record(const std::string& path) {
   record["unit"] = "us_per_op";
   record["statistic"] = "median_of_3_reps";
   record["isa"] = isa::to_string(isa::selected());
+  record["nproc"] =
+      static_cast<std::size_t>(std::thread::hardware_concurrency());
+  record["load1"] = load1();
   record["workloads"] = std::move(workloads);
   std::ofstream out(path);
   out << Json(std::move(record)).dump(2) << '\n';

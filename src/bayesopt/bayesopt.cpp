@@ -157,10 +157,11 @@ struct BayesOpt::Surrogate {
   /// and the mean/variance arrays are allocated once per suggest() instead
   /// of once per batch.
   struct ScoreScratch {
-    Matrix d2;                        // candidates × n squared distances
-    Matrix v;                         // n × candidates fused-solve workspace
+    Matrix d2;  // n × candidates squared distances (training-major)
+    Matrix v;   // n × candidates fused-solve workspace
     std::vector<double> means, vars;  // contiguous per-candidate moments
-    std::vector<gp::Prediction> preds;  // ARD fallback path only
+    Matrix rows;                        // ARD fallback: one query per row
+    std::vector<gp::Prediction> preds;  // ARD fallback
     // Across-GP moment sums for the cost divisor (cost-aware scoring only).
     std::vector<double> mean_acc, var_acc;
   };
@@ -183,16 +184,14 @@ struct BayesOpt::Surrogate {
   }
 
   /// Average the acquisition over the GPs given the candidates' shared
-  /// unscaled squared-distance block (one row per candidate). Each GP scores
-  /// the whole batch fused: one batched correlation transform and one
-  /// multi-RHS solve over all candidates (predict_mv_from_sq_dist_rows),
-  /// then one batch acquisition accumulation — the per-candidate kind
-  /// dispatch and the per-chunk solve staging are gone, the arithmetic (and
-  /// therefore the scores) are unchanged bit for bit.
+  /// unscaled squared-distance block (training-major, one column per
+  /// candidate). Each GP scores the whole batch fused: one batched
+  /// correlation transform and one multi-RHS solve over all candidates
+  /// (predict_mv_from_sq_dists), then one batch acquisition accumulation.
   void score_from_sq_dists(const BayesOptOptions& opts, const Matrix& d2,
                            ScoreScratch& ws, std::span<double> out) const {
     std::fill(out.begin(), out.end(), 0.0);
-    const std::size_t m = d2.rows();
+    const std::size_t m = d2.cols();
     ws.means.resize(m);
     ws.vars.resize(m);
     const bool costed = cost1_ms > 0.0;
@@ -201,7 +200,7 @@ struct BayesOpt::Surrogate {
       ws.var_acc.assign(m, 0.0);
     }
     for (const auto& g : gps) {
-      g.predict_mv_from_sq_dist_rows(d2, ws.v, ws.means, ws.vars);
+      g.predict_mv_from_sq_dists(d2, ws.v, ws.means, ws.vars);
       acquisition_accumulate(opts.acquisition, ws.means, ws.vars,
                              best_standardized, opts.xi, opts.ucb_beta, out);
       if (costed) {
@@ -216,21 +215,13 @@ struct BayesOpt::Surrogate {
     if (costed) apply_cost_divisor(ws, out);
   }
 
-  /// Acquisition averaged over the hyperparameter samples for every row of
-  /// `cands`, written to `out`. Scores each GP against all rows in one
-  /// pass, so the Cholesky factor and training inputs of one GP stay hot
-  /// instead of being evicted candidate-by-candidate.
-  void acquisition_rows(const BayesOptOptions& opts, const Matrix& cands,
-                        ScoreScratch& ws, std::span<double> out) const {
-    const std::size_t m = cands.rows();
-    if (shares_distances()) {
-      gps.front().unscaled_sq_dist_rows(cands, 0, m, ws.d2);
-      score_from_sq_dists(opts, ws.d2, ws, out);
-      return;
-    }
-    // ARD: no shared distance block exists, so keep the per-GP chunked
-    // prediction; the batch acquisition accumulation still hoists the kind
-    // dispatch out of the candidate loop.
+  /// ARD: no shared distance block exists, so every GP predicts the queries
+  /// (one per row of `rows`) through its own chunked path; the batch
+  /// acquisition accumulation still hoists the kind dispatch out of the
+  /// candidate loop.
+  void score_rows_ard(const BayesOptOptions& opts, const Matrix& rows,
+                      ScoreScratch& ws, std::span<double> out) const {
+    const std::size_t m = rows.rows();
     std::fill(out.begin(), out.end(), 0.0);
     const bool costed = cost1_ms > 0.0;
     if (costed) {
@@ -238,7 +229,7 @@ struct BayesOpt::Surrogate {
       ws.var_acc.assign(m, 0.0);
     }
     for (const auto& g : gps) {
-      g.predict_rows(cands, 0, m, ws.preds);
+      g.predict_rows(rows, 0, m, ws.preds);
       ws.means.resize(m);
       ws.vars.resize(m);
       for (std::size_t i = 0; i < m; ++i) {
@@ -259,36 +250,45 @@ struct BayesOpt::Surrogate {
     if (costed) apply_cost_divisor(ws, out);
   }
 
-  /// Variant for the local-search neighborhood, where row r of `nb` equals
-  /// `cur` except in coordinate r/2: each row's squared distances are an
-  /// O(n) update of the center's (precomputed in `base_d2`, 1×n) instead of
-  /// an O(n·d) recomputation. ARD kernels take the generic path.
-  void acquisition_neighbor_rows(const BayesOptOptions& opts,
-                                 std::span<const double> cur,
-                                 const Matrix& base_d2, const Matrix& nb,
-                                 ScoreScratch& ws, std::span<double> out) const {
-    if (!shares_distances()) {
-      acquisition_rows(opts, nb, ws, out);
+  /// Acquisition averaged over the hyperparameter samples for every
+  /// candidate, held one per COLUMN of `cands` (d × m), written to `out`.
+  /// Scores each GP against all candidates in one pass, so the Cholesky
+  /// factor and training inputs of one GP stay hot.
+  void acquisition(const BayesOptOptions& opts, const Matrix& cands,
+                   ScoreScratch& ws, std::span<double> out) const {
+    if (shares_distances()) {
+      gps.front().unscaled_sq_dists(cands, ws.d2);
+      score_from_sq_dists(opts, ws.d2, ws, out);
       return;
     }
-    const Matrix& x = gps.front().inputs();
-    const std::size_t n = x.rows();
-    const auto base = base_d2.row(0);
-    if (ws.d2.rows() != nb.rows() || ws.d2.cols() != n) {
-      ws.d2 = Matrix(nb.rows(), n);
-    }
-    for (std::size_t r = 0; r < nb.rows(); ++r) {
-      const std::size_t j = r / 2;
-      const double cj = cur[j];
-      const double vj = nb(r, j);
-      const auto drow = ws.d2.row(r);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double old_diff = cj - x(i, j);
-        const double new_diff = vj - x(i, j);
-        const double s = base[i] - old_diff * old_diff + new_diff * new_diff;
-        drow[i] = s < 0.0 ? 0.0 : s;  // guard rounding from the subtraction
+    ws.rows = cands.transposed();
+    score_rows_ard(opts, ws.rows, ws, out);
+  }
+
+  /// Variant for the local-search neighbourhood of `cur`: neighbour r
+  /// equals `cur` except coordinate r/2, which is moved[r]. Each
+  /// neighbour's squared distances are an O(n) update of the centre's
+  /// (GpRegressor::neighbor_sq_dists) instead of an O(n·d) recomputation.
+  /// ARD kernels materialize the neighbours as rows and take the generic
+  /// path.
+  void acquisition_neighbors(const BayesOptOptions& opts,
+                             std::span<const double> cur,
+                             std::span<const double> moved, ScoreScratch& ws,
+                             std::span<double> out) const {
+    const std::size_t d = cur.size();
+    if (!shares_distances()) {
+      if (ws.rows.rows() != moved.size() || ws.rows.cols() != d) {
+        ws.rows = Matrix(moved.size(), d);
       }
+      for (std::size_t r = 0; r < moved.size(); ++r) {
+        const auto row = ws.rows.row(r);
+        std::copy(cur.begin(), cur.end(), row.begin());
+        row[r / 2] = moved[r];
+      }
+      score_rows_ard(opts, ws.rows, ws, out);
+      return;
     }
+    gps.front().neighbor_sq_dists(cur, moved, ws.d2);
     score_from_sq_dists(opts, ws.d2, ws, out);
   }
 };
@@ -543,33 +543,36 @@ std::vector<double> BayesOpt::maximize_acquisition(Surrogate& surrogate) {
   const std::uint64_t base_seed = rng_();
   constexpr std::size_t kGenBlocks = 16;
   const std::size_t gen_blocks = std::min(kGenBlocks, num_cands);
-  Matrix cands(num_cands, d);
+  // Coordinate-major: column c is candidate c, so the distance kernel's
+  // lanes load consecutive candidates and the block comes out in the
+  // solve's layout.
+  Matrix cands(d, num_cands);
   std::vector<double> scores(num_cands);
   for (std::size_t s = 0; s < gen_blocks; ++s) {
     const std::size_t lo = s * num_cands / gen_blocks;
     const std::size_t hi = (s + 1) * num_cands / gen_blocks;
     Rng rng = Rng::stream(base_seed, s);
     for (std::size_t c = lo; c < hi; ++c) {
-      const auto u = cands.row(c);
       switch (c % 4) {
         case 0:
         case 1:
-          for (std::size_t j = 0; j < d; ++j) u[j] = rng.uniform();
+          for (std::size_t j = 0; j < d; ++j) cands(j, c) = rng.uniform();
           break;
         case 2:
           for (std::size_t j = 0; j < d; ++j) {
-            u[j] = std::clamp(inc_u[j] + rng.normal(0.0, 0.1), 0.0, 1.0);
+            cands(j, c) =
+                std::clamp(inc_u[j] + rng.normal(0.0, 0.1), 0.0, 1.0);
           }
           break;
         case 3: {
-          for (std::size_t j = 0; j < d; ++j) u[j] = inc_u[j];
+          for (std::size_t j = 0; j < d; ++j) cands(j, c) = inc_u[j];
           const std::size_t mutations = 1 + static_cast<std::size_t>(
               rng.uniform_int(0, std::max<std::int64_t>(
                                      1, static_cast<std::int64_t>(d) / 8)));
           for (std::size_t m = 0; m < mutations; ++m) {
             const auto j = static_cast<std::size_t>(
                 rng.uniform_int(0, static_cast<std::int64_t>(d) - 1));
-            u[j] = rng.uniform();
+            cands(j, c) = rng.uniform();
           }
           break;
         }
@@ -580,45 +583,31 @@ std::vector<double> BayesOpt::maximize_acquisition(Surrogate& surrogate) {
   // search iteration below — scratch buffers warm up once per suggest() and
   // stay warm.
   Surrogate::ScoreScratch scratch;
-  surrogate.acquisition_rows(options_, cands, scratch, scores);
-  std::size_t best_idx = argmax_index(scores);
+  surrogate.acquisition(options_, cands, scratch, scores);
+  const std::size_t best_idx = argmax_index(scores);
   double best_val = scores[best_idx];
-  std::vector<double> best_u(cands.row(best_idx).begin(),
-                             cands.row(best_idx).end());
+  std::vector<double> best_u(d);
+  for (std::size_t j = 0; j < d; ++j) best_u[j] = cands(j, best_idx);
 
   // Local coordinate refinement around the best candidate: batch-score the
   // 2d-point coordinate neighborhood of the current point each iteration
   // (one batch instead of 2d single-point surrogate calls) and move to its
-  // best strict improvement.
+  // best strict improvement. Neighbour 2j + s moves coordinate j to
+  // moved[2j + s] (s = 0 up, s = 1 down); the winner is rebuilt from it.
   double step = 0.1;
   std::vector<double> cur = best_u;
-  Matrix nb(2 * d, d);
+  std::vector<double> moved(2 * d);
   std::vector<double> nb_scores(2 * d);
-  const bool share = surrogate.shares_distances();
-  Matrix cur_q(1, d);
-  Matrix base_d2;
   for (std::size_t it = 0; it < options_.local_search_iters; ++it) {
     for (std::size_t j = 0; j < d; ++j) {
-      for (std::size_t sgn = 0; sgn < 2; ++sgn) {
-        const auto row = nb.row(2 * j + sgn);
-        for (std::size_t k = 0; k < d; ++k) row[k] = cur[k];
-        const double delta = sgn == 0 ? step : -step;
-        row[j] = std::clamp(row[j] + delta, 0.0, 1.0);
-      }
+      moved[2 * j] = std::clamp(cur[j] + step, 0.0, 1.0);
+      moved[2 * j + 1] = std::clamp(cur[j] - step, 0.0, 1.0);
     }
-    if (share) {
-      // One O(n·d) distance pass for the center; every neighbor row is then
-      // an O(n) single-coordinate update inside acquisition_neighbor_rows.
-      const auto row = cur_q.row(0);
-      for (std::size_t k = 0; k < d; ++k) row[k] = cur[k];
-      surrogate.gps.front().unscaled_sq_dist_rows(cur_q, 0, 1, base_d2);
-    }
-    surrogate.acquisition_neighbor_rows(options_, cur, base_d2, nb, scratch,
-                                        nb_scores);
+    surrogate.acquisition_neighbors(options_, cur, moved, scratch, nb_scores);
     const std::size_t idx = argmax_index(nb_scores);
     if (nb_scores[idx] > best_val) {
       best_val = nb_scores[idx];
-      cur.assign(nb.row(idx).begin(), nb.row(idx).end());
+      cur[idx / 2] = moved[idx];
       best_u = cur;
     } else {
       step *= 0.5;

@@ -50,20 +50,13 @@ void GpRegressor::rebuild_distance_cache() {
   auto cache = std::make_shared<DistanceCache>();
   cache->n = n;
   if (!kernel_.ard()) {
+    // X against itself, the query side laid out coordinate-major. The
+    // kernel fills both triangles, and (a − b)² is the same double as
+    // (b − a)², so the block is symmetric bit for bit; the diagonal is 0
+    // and never read.
+    const Matrix xt = x_.transposed();
     cache->sq = Matrix(n, n);
-    for (std::size_t j = 0; j < n; ++j) {
-      const auto xj = x_.row(j);
-      for (std::size_t i = 0; i < j; ++i) {
-        const auto xi = x_.row(i);
-        double s = 0.0;
-        for (std::size_t k = 0; k < d; ++k) {
-          const double diff = xi[k] - xj[k];
-          s += diff * diff;
-        }
-        cache->sq(i, j) = s;
-        cache->sq(j, i) = s;
-      }
-    }
+    sq_dist_block(x_.data(), d, n, xt.data(), n, n, d, cache->sq.data(), n);
   } else {
     cache->sq_dims.resize(n * (n - 1) / 2 * d);
     double* out = cache->sq_dims.data();
@@ -94,16 +87,11 @@ GpRegressor::extended_distance_cache(std::span<const double> x_new) const {
       const auto dst = cache->sq.row(i);
       for (std::size_t j = 0; j < n; ++j) dst[j] = src[j];
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto xi = x_.row(i);
-      double s = 0.0;
-      for (std::size_t k = 0; k < d; ++k) {
-        const double diff = xi[k] - x_new[k];
-        s += diff * diff;
-      }
-      cache->sq(i, n) = s;
-      cache->sq(n, i) = s;
-    }
+    // Column n: every training row against the new point (a one-column,
+    // coordinate-major query block), then mirrored into row n.
+    sq_dist_block(x_.data(), d, n, x_new.data(), 1, 1, d, &cache->sq(0, n),
+                  n + 1);
+    for (std::size_t i = 0; i < n; ++i) cache->sq(n, i) = cache->sq(i, n);
   } else {
     // The pair order (all (i, j) with i < j, grouped by ascending j) makes
     // appending a point a pure append: existing offsets are untouched.
@@ -513,23 +501,20 @@ STORMTUNE_HOT void GpRegressor::predict_rows(const Matrix& q,
     for (std::size_t r = 0; r < m; ++r) {
       const auto u = q.row(row_begin + base + r);
       const auto krow = kstar.row(r);
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto xi = x_.row(i);
-        double r2 = 0.0;
-        if (ard) {
+      if (ard) {
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto xi = x_.row(i);
+          double r2 = 0.0;
           for (std::size_t k = 0; k < d; ++k) {
             const double diff = xi[k] - u[k];
             r2 += diff * diff * inv[k];
           }
-        } else {
-          double s = 0.0;
-          for (std::size_t k = 0; k < d; ++k) {
-            const double diff = xi[k] - u[k];
-            s += diff * diff;
-          }
-          r2 = s * inv[0];
+          krow[i] = r2;
         }
-        krow[i] = r2;
+      } else {
+        // The query as a one-column block: krow[i] = ‖x_i − u‖².
+        sq_dist_block(x_.data(), d, n, u.data(), 1, 1, d, krow.data(), 1);
+        for (std::size_t i = 0; i < n; ++i) krow[i] *= inv[0];
       }
       correlation_from_scaled_sq_batch(kernel_.family(), a2, krow.data(), n);
     }
@@ -537,90 +522,78 @@ STORMTUNE_HOT void GpRegressor::predict_rows(const Matrix& q,
   }
 }
 
-void GpRegressor::unscaled_sq_dist_rows(const Matrix& q, std::size_t row_begin,
-                                        std::size_t row_end, Matrix& d2) const {
+STORMTUNE_HOT void GpRegressor::unscaled_sq_dists(const Matrix& qt,
+                                                  Matrix& d2) const {
   STORMTUNE_REQUIRE(fitted(),
-                    "GpRegressor::unscaled_sq_dist_rows: call fit() first");
-  STORMTUNE_REQUIRE(q.cols() == x_.cols(),
-                    "GpRegressor::unscaled_sq_dist_rows: dimension mismatch");
-  STORMTUNE_REQUIRE(row_begin <= row_end && row_end <= q.rows(),
-                    "GpRegressor::unscaled_sq_dist_rows: bad row range");
+                    "GpRegressor::unscaled_sq_dists: call fit() first");
+  STORMTUNE_REQUIRE(qt.rows() == x_.cols(),
+                    "GpRegressor::unscaled_sq_dists: dimension mismatch");
   const std::size_t n = x_.rows();
-  const std::size_t d = q.cols();
-  const std::size_t total = row_end - row_begin;
-  if (d2.rows() != total || d2.cols() != n) d2 = Matrix(total, n);
-  for (std::size_t r = 0; r < total; ++r) {
-    const auto u = q.row(row_begin + r);
-    const auto drow = d2.row(r);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto xi = x_.row(i);
-      double s = 0.0;
-      for (std::size_t k = 0; k < d; ++k) {
-        const double diff = xi[k] - u[k];
-        s += diff * diff;
-      }
-      drow[i] = s;
+  const std::size_t d = x_.cols();
+  const std::size_t m = qt.cols();
+  if (d2.rows() != n || d2.cols() != m) d2 = Matrix(n, m);
+  sq_dist_block(x_.data(), d, n, qt.data(), m, m, d, d2.data(), m);
+}
+
+STORMTUNE_HOT void GpRegressor::neighbor_sq_dists(
+    std::span<const double> center, std::span<const double> moved,
+    Matrix& d2) const {
+  const std::size_t n = x_.rows();
+  const std::size_t d = x_.cols();
+  const std::size_t m = moved.size();
+  STORMTUNE_REQUIRE(center.size() == d && m == 2 * d,
+                    "GpRegressor::neighbor_sq_dists: size mismatch");
+  if (d2.rows() != n || d2.cols() != m) d2 = Matrix(n, m);
+  // The centre's own distances ‖x_i − center‖² land in column 0 (a
+  // one-column block) and are read back before row i is overwritten.
+  sq_dist_block(x_.data(), d, n, center.data(), 1, 1, d, d2.data(), m);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto xi = x_.row(i);
+    const auto di = d2.row(i);
+    const double base = di[0];
+    // Both neighbours of coordinate j written side by side: the compiler
+    // pairs them into one vector (a loop over the two measured 3× slower).
+    for (std::size_t j = 0; j < d; ++j) {
+      const double xij = xi[j];
+      const double old_diff = center[j] - xij;
+      const double rest = base - old_diff * old_diff;
+      const double up = moved[2 * j] - xij;
+      const double down = moved[2 * j + 1] - xij;
+      const double s_up = rest + up * up;
+      const double s_down = rest + down * down;
+      // The floor guards rounding from the subtraction.
+      di[2 * j] = s_up < 0.0 ? 0.0 : s_up;
+      di[2 * j + 1] = s_down < 0.0 ? 0.0 : s_down;
     }
   }
 }
 
-STORMTUNE_HOT void GpRegressor::predict_from_sq_dist_rows(
-    const Matrix& d2,
-                                            std::vector<Prediction>& out) const {
-  STORMTUNE_REQUIRE(fitted(),
-                    "GpRegressor::predict_from_sq_dist_rows: call fit() first");
-  STORMTUNE_REQUIRE(!kernel_.ard(),
-                    "GpRegressor::predict_from_sq_dist_rows: non-ARD only");
-  STORMTUNE_REQUIRE(d2.cols() == x_.rows(),
-                    "GpRegressor::predict_from_sq_dist_rows: block/X mismatch");
-  const std::size_t n = x_.rows();
-  const std::size_t total = d2.rows();
-  out.resize(total);
-  const double a2 = kernel_.variance();
-  const double inv0 = inverse_squared_lengthscales()[0];
-  Matrix kstar;
-  for (std::size_t base = 0; base < total; base += kPredictChunk) {
-    const std::size_t m = std::min(kPredictChunk, total - base);
-    if (kstar.rows() != m) kstar = Matrix(m, n);
-    for (std::size_t r = 0; r < m; ++r) {
-      const auto drow = d2.row(base + r);
-      const auto krow = kstar.row(r);
-      for (std::size_t i = 0; i < n; ++i) krow[i] = drow[i] * inv0;
-      correlation_from_scaled_sq_batch(kernel_.family(), a2, krow.data(), n);
-    }
-    predict_chunk(kstar, std::span(out).subspan(base, m));
-  }
-}
-
-STORMTUNE_HOT void GpRegressor::predict_mv_from_sq_dist_rows(
-    const Matrix& d2, Matrix& vws,
-                                               std::span<double> means,
-                                               std::span<double> vars) const {
+STORMTUNE_HOT void GpRegressor::predict_mv_from_sq_dists(
+    const Matrix& d2, Matrix& vws, std::span<double> means,
+    std::span<double> vars) const {
   STORMTUNE_REQUIRE(
-      fitted(), "GpRegressor::predict_mv_from_sq_dist_rows: call fit() first");
+      fitted(), "GpRegressor::predict_mv_from_sq_dists: call fit() first");
   STORMTUNE_REQUIRE(!kernel_.ard(),
-                    "GpRegressor::predict_mv_from_sq_dist_rows: non-ARD only");
-  STORMTUNE_REQUIRE(
-      d2.cols() == x_.rows(),
-      "GpRegressor::predict_mv_from_sq_dist_rows: block/X mismatch");
+                    "GpRegressor::predict_mv_from_sq_dists: non-ARD only");
+  STORMTUNE_REQUIRE(d2.rows() == x_.rows(),
+                    "GpRegressor::predict_mv_from_sq_dists: block/X mismatch");
   const std::size_t n = x_.rows();
-  const std::size_t m = d2.rows();
+  const std::size_t m = d2.cols();
   STORMTUNE_REQUIRE(
       means.size() == m && vars.size() == m,
-      "GpRegressor::predict_mv_from_sq_dist_rows: output size mismatch");
+      "GpRegressor::predict_mv_from_sq_dists: output size mismatch");
   const double a2 = kernel_.variance();
   const double inv0 = inverse_squared_lengthscales()[0];
-  // Build V = K*ᵀ directly (row i = candidate values of training point i):
-  // no kstar materialization, no transpose — the transform is an element-wise
-  // map, so layout is free to choose, and this is the layout the solve wants.
+  // V = K*ᵀ (row i = candidate values of training point i) is the block's
+  // own layout, so building it is one stride-1 scaling pass, and the
+  // transform is an element-wise map over the whole buffer.
   if (vws.rows() != n || vws.cols() != m) vws = Matrix(n, m);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto vi = vws.row(i);
-    for (std::size_t r = 0; r < m; ++r) vi[r] = d2(r, i) * inv0;
-  }
+  const double* src = d2.data();
+  double* dst = vws.data();
+  for (std::size_t e = 0; e < n * m; ++e) dst[e] = src[e] * inv0;
   correlation_from_scaled_sq_batch(kernel_.family(), a2, vws.data(), n * m);
   // Means before the solve overwrites V. Per candidate the additions run in
-  // ascending training-point order — the chunked path's dot-product order.
+  // ascending training-point order — predict_chunk's dot-product order.
   for (std::size_t r = 0; r < m; ++r) means[r] = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     const auto vi = vws.row(i);

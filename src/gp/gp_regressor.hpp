@@ -96,34 +96,39 @@ class GpRegressor {
   void predict_rows(const Matrix& q, std::size_t row_begin,
                     std::size_t row_end, std::vector<Prediction>& out) const;
 
-  /// Unscaled squared distances between rows [row_begin, row_end) of `q` and
-  /// the training inputs: d2(r − row_begin, i) = ‖q_r − x_i‖². The block is
+  /// Unscaled squared distances between the training inputs and the
+  /// queries held one per COLUMN of `qt` (d × m, coordinate-major):
+  /// d2(i, r) = ‖x_i − q_r‖², resized to n × m. The block is training-major
+  /// — already the V = K*ᵀ layout predict_mv_from_sq_dists consumes — and
   /// kernel-independent, so a surrogate marginalizing over several
   /// hyper-sample GPs (which share X) computes it once and scores every GP
-  /// from it via predict_from_sq_dist_rows.
-  void unscaled_sq_dist_rows(const Matrix& q, std::size_t row_begin,
-                             std::size_t row_end, Matrix& d2) const;
+  /// from it. Computed by gp::sq_dist_block, bit-identical to the scalar
+  /// loop.
+  void unscaled_sq_dists(const Matrix& qt, Matrix& d2) const;
 
-  /// Predict from a precomputed unscaled squared-distance block (non-ARD
-  /// kernels only — ARD scales per dimension before summing, so the shared
-  /// block does not exist for it). Bitwise-identical to predict_rows.
-  void predict_from_sq_dist_rows(const Matrix& d2,
-                                 std::vector<Prediction>& out) const;
+  /// Distance block of the 2d coordinate neighbours of `center`: neighbour
+  /// r equals `center` except coordinate r/2, which is moved[r]. Each entry
+  /// is an O(1) update of the centre's own distance b_i = ‖x_i − center‖²:
+  /// d2(i, r) = max(0, b_i − (c_j − x_ij)² + (moved[r] − x_ij)²), the floor
+  /// guarding the subtraction's rounding. Training-major (n × 2d), like
+  /// unscaled_sq_dists.
+  void neighbor_sq_dists(std::span<const double> center,
+                         std::span<const double> moved, Matrix& d2) const;
 
-  /// Fused batch variant of predict_from_sq_dist_rows writing straight into
-  /// contiguous mean/variance arrays (one entry per d2 row): builds the
-  /// cross-covariance block transposed in the caller-owned workspace `vws`
-  /// (resized to n×m as needed), runs one batched correlation transform over
-  /// the whole n·m buffer and one multi-RHS forward substitution carrying
-  /// every candidate, instead of kPredictChunk-sized pieces. Per candidate
-  /// each reduction runs in the same ascending order and each element-wise
-  /// transform is the same single-value map as the chunked path, so results
-  /// are bitwise identical to predict_from_sq_dist_rows — only the batching
-  /// (and therefore the memory traffic) changes. Non-ARD kernels only.
-  /// `means`/`vars` must have d2.rows() entries.
-  void predict_mv_from_sq_dist_rows(const Matrix& d2, Matrix& vws,
-                                    std::span<double> means,
-                                    std::span<double> vars) const;
+  /// Predict from a precomputed unscaled squared-distance block (training-
+  /// major, n × m, as unscaled_sq_dists writes it) straight into contiguous
+  /// mean/variance arrays, one entry per query: scales the block into the
+  /// caller-owned workspace `vws` (resized to n × m as needed), runs one
+  /// batched correlation transform over the whole n·m buffer and one
+  /// multi-RHS forward substitution carrying every query. Per query each
+  /// reduction runs in the same ascending order and each element-wise
+  /// transform is the same single-value map as predict_rows, so results are
+  /// bitwise identical to it. Non-ARD kernels only (ARD scales per dimension
+  /// before summing, so no shared block exists for it). `means`/`vars` must
+  /// have d2.cols() entries.
+  void predict_mv_from_sq_dists(const Matrix& d2, Matrix& vws,
+                                std::span<double> means,
+                                std::span<double> vars) const;
 
   /// log p(y | X, theta); requires fit() to have been called.
   double log_marginal_likelihood() const;

@@ -1,5 +1,6 @@
-// Dispatching front end of the batched correlation transform, plus the
-// portable path (the pre-dispatch behavior every golden test pins).
+// Dispatching front ends of the batched correlation transform and the
+// squared-distance kernel, plus their portable paths (the pre-dispatch
+// behavior every golden test pins).
 //
 // The AVX2 path lives in kernel_batch_avx2.cpp, its own translation unit
 // compiled with -mavx2 and reached only through the dispatch table after a
@@ -9,6 +10,7 @@
 #include "gp/kernel_batch.hpp"
 
 #include <cmath>
+#include <cstring>
 
 #include "common/check.hpp"
 #include "gp/kernel_batch_paths.hpp"
@@ -164,6 +166,44 @@ STORMTUNE_HOT void transform_portable(KernelFamily family, double scale, double*
 
 #endif
 
+// Row by row: zero the output row, then add one coordinate's terms across
+// all m queries per pass. The r loop carries no dependency, so the
+// compiler vectorizes it, and each (i, r) still sees 0.0 + t_0 + t_1 + …
+// in ascending k — the scalar loop's sequence.
+STORMTUNE_HOT void sq_dist_portable(const double* a, std::size_t lda,
+                                    std::size_t n, const double* b,
+                                    std::size_t ldb, std::size_t m,
+                                    std::size_t d, double* out,
+                                    std::size_t ldo) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* ai = a + i * lda;
+    double* oi = out + i * ldo;
+    for (std::size_t r = 0; r < m; ++r) oi[r] = 0.0;
+    for (std::size_t k = 0; k < d; ++k) {
+      const double aik = ai[k];
+      const double* bk = b + k * ldb;
+      for (std::size_t r = 0; r < m; ++r) {
+        const double diff = aik - bk[r];
+        oi[r] += diff * diff;
+      }
+    }
+  }
+}
+
+SqDistFn sq_dist_for(isa::Path path) {
+  switch (path) {
+    case isa::Path::kPortable:
+      return sq_dist_portable;
+    case isa::Path::kAvx2:
+#ifdef STORMTUNE_HAVE_ISA_AVX2
+      return sq_dist_avx2;
+#else
+      return nullptr;
+#endif
+  }
+  return nullptr;
+}
+
 TransformFn transform_for(isa::Path path) {
   switch (path) {
     case isa::Path::kPortable:
@@ -202,6 +242,31 @@ STORMTUNE_HOT void correlation_from_scaled_sq_batch(KernelFamily family, double 
   (fn != nullptr ? fn : detail::transform_portable)(family, scale, buf, len);
 #ifdef STORMTUNE_CHECKED
   checked_sample_agreement(family, scale, buf, sample_in, sample_idx, samples);
+#endif
+}
+
+STORMTUNE_HOT void sq_dist_block(const double* a, std::size_t lda,
+                                 std::size_t n, const double* b,
+                                 std::size_t ldb, std::size_t m,
+                                 std::size_t d, double* out, std::size_t ldo) {
+  const detail::SqDistFn fn = detail::sq_dist_for(isa::selected());
+  (fn != nullptr ? fn : detail::sq_dist_portable)(a, lda, n, b, ldb, m, d,
+                                                  out, ldo);
+#ifdef STORMTUNE_CHECKED
+  // Exact agreement with the scalar loop at the block's two far corners.
+  if (n > 0 && m > 0) {
+    for (const std::size_t c : {std::size_t{0}, n * m - 1}) {
+      const std::size_t i = c / m, r = c % m;
+      double s = 0.0;
+      for (std::size_t k = 0; k < d; ++k) {
+        const double diff = a[i * lda + k] - b[k * ldb + r];
+        s += diff * diff;
+      }
+      STORMTUNE_INVARIANT(std::memcmp(&s, out + i * ldo + r, sizeof s) == 0,
+                          "sq_dist_block: kernel disagrees with the scalar "
+                          "loop");
+    }
+  }
 #endif
 }
 

@@ -2,7 +2,8 @@
 //
 // Section V-A: up to 60 optimization steps (180 for the bo180 runs); the
 // linear-ascent strategies stop early after three consecutive
-// zero-performance measurements; every step's suggestion wall-time is
+// zero-performance measurements (this driver applies that stop to every
+// strategy — DESIGN.md §7); every step's suggestion wall-time is
 // recorded (Figure 7); afterwards the best configuration is re-run 30
 // times (Figures 4 and 8 report mean/min/max of those repetitions); the
 // whole procedure is run twice and the better pass is reported.
@@ -31,7 +32,8 @@ namespace stormtune::tuning {
 
 struct ExperimentOptions {
   std::size_t max_steps = 60;
-  /// Stop after this many consecutive zero-performance runs (paper: 3).
+  /// Stop after this many consecutive zero-performance runs (paper: 3, for
+  /// the linear-ascent strategies; applied here to every strategy).
   std::size_t zero_streak_stop = 3;
   /// Repetitions of the best configuration after the optimization.
   std::size_t best_config_reps = 30;

@@ -47,7 +47,10 @@ Json experiment_to_json(const ExperimentResult& result) {
     trace.emplace_back(std::move(e));
   }
   o["trace"] = Json(std::move(trace));
-  o["best_config"] = config_to_json(result.best_config);
+  // best_step == 0: no step measured a non-zero throughput, so best_config
+  // is a default-constructed placeholder that nothing ever ran.
+  o["best_config"] =
+      result.best_step > 0 ? config_to_json(result.best_config) : Json();
   o["best_throughput"] = result.best_throughput;
   o["best_step"] = result.best_step;
   JsonArray reps;
@@ -68,7 +71,9 @@ ExperimentResult experiment_from_json(const Json& j) {
     s.suggest_seconds = e.at("suggest_seconds").as_number();
     r.trace.push_back(s);
   }
-  r.best_config = config_from_json(j.at("best_config"));
+  if (!j.at("best_config").is_null()) {
+    r.best_config = config_from_json(j.at("best_config"));
+  }
   r.best_throughput = j.at("best_throughput").as_number();
   r.best_step = static_cast<std::size_t>(j.at("best_step").as_int());
   for (const auto& v : j.at("best_rep_values").as_array()) {

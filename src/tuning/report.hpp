@@ -18,7 +18,9 @@ Json config_to_json(const sim::TopologyConfig& config);
 sim::TopologyConfig config_from_json(const Json& j);
 
 /// Serialize a full experiment result (strategy, trace, best config,
-/// repetition statistics).
+/// repetition statistics). A pass with best_step == 0 measured nothing
+/// non-zero; its "best_config" is null, and reading null back leaves the
+/// default-constructed config.
 Json experiment_to_json(const ExperimentResult& result);
 ExperimentResult experiment_from_json(const Json& j);
 

@@ -519,15 +519,18 @@ TEST_F(GpFit, SharedDistanceBlockMatchesDirectPrediction) {
     for (std::size_t j = 0; j < 3; ++j) q(i, j) = rng.uniform(-0.5, 1.5);
   }
   Matrix d2;
-  g1.unscaled_sq_dist_rows(q, 0, q.rows(), d2);
+  g1.unscaled_sq_dists(q.transposed(), d2);
+  ASSERT_EQ(d2.rows(), x.rows());
+  ASSERT_EQ(d2.cols(), q.rows());
   for (const GpRegressor* g : {&g1, &g2}) {
-    std::vector<Prediction> from_block;
-    g->predict_from_sq_dist_rows(d2, from_block);
+    Matrix vws;
+    std::vector<double> means(q.rows()), vars(q.rows());
+    g->predict_mv_from_sq_dists(d2, vws, means, vars);
     const auto direct = g->predict_batch(q);
-    ASSERT_EQ(from_block.size(), direct.size());
+    ASSERT_EQ(means.size(), direct.size());
     for (std::size_t i = 0; i < direct.size(); ++i) {
-      EXPECT_DOUBLE_EQ(from_block[i].mean, direct[i].mean);
-      EXPECT_DOUBLE_EQ(from_block[i].variance, direct[i].variance);
+      EXPECT_EQ(means[i], direct[i].mean);
+      EXPECT_EQ(vars[i], direct[i].variance);
     }
   }
 }
@@ -651,9 +654,10 @@ TEST_F(GpFit, SharedDistanceBlockRejectsArd) {
   x(2, 1) = 1.0;
   gp.fit(x, Vector{0.0, 1.0, 2.0});
   Matrix d2;
-  gp.unscaled_sq_dist_rows(x, 0, 3, d2);
-  std::vector<Prediction> out;
-  EXPECT_THROW(gp.predict_from_sq_dist_rows(d2, out), Error);
+  gp.unscaled_sq_dists(x.transposed(), d2);
+  Matrix vws;
+  std::vector<double> means(3), vars(3);
+  EXPECT_THROW(gp.predict_mv_from_sq_dists(d2, vws, means, vars), Error);
 }
 
 }  // namespace

@@ -15,13 +15,19 @@
 //     polynomial factor); the sweep asserts ≤ 8 ulp to leave headroom for
 //     other libm builds while still catching any real algorithmic drift.
 //
-//  3. The portable path is exactly the pre-dispatch behavior, so the
+//  3. The squared-distance kernel is BITWISE identical to the scalar loop
+//     on every path: its lanes run over independent pairs, never over the
+//     coordinate sum, and each pair is the same subtract/multiply/add
+//     sequence in ascending k.
+//
+//  4. The portable path is exactly the pre-dispatch behavior, so the
 //     end-to-end suggest() golden below — captured BEFORE the fused batched
 //     scoring rework — must still match bit-for-bit with the portable path
 //     pinned. This is the proof that neither the dispatch layer nor the
 //     fused scoring changed the optimizer's arithmetic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -184,6 +190,121 @@ TEST(IsaDispatch, TransformAgreesWithScalarReference) {
   }
 }
 
+/// The scalar loop every distance path must reproduce bit for bit:
+/// Σ_k (a_ik − b_kr)², k ascending from 0.0.
+double scalar_sq_dist(const double* a, const double* b, std::size_t ldb,
+                      std::size_t r, std::size_t d) {
+  double s = 0.0;
+  for (std::size_t k = 0; k < d; ++k) {
+    const double diff = a[k] - b[k * ldb + r];
+    s += diff * diff;
+  }
+  return s;
+}
+
+// Shapes that fill no lane, part of one, and many with ragged tails, with
+// padded strides; the padding must come back untouched.
+TEST(IsaDispatch, SqDistBlockBitIdenticalToScalarLoop) {
+  constexpr double kSentinel = -7.25;
+  for (const isa::Path path : runnable_paths()) {
+    const gp::detail::SqDistFn fn = gp::detail::sq_dist_for(path);
+    ASSERT_NE(fn, nullptr) << isa::to_string(path);
+    Rng rng(51);
+    for (const std::size_t n : {1ul, 7ul, 61ul}) {
+      for (const std::size_t m : {1ul, 3ul, 102ul, 512ul}) {
+        for (const std::size_t d : {1ul, 51ul}) {
+          const std::size_t lda = d + 3, ldb = m + 5, ldo = m + 2;
+          std::vector<double> a(n * lda), b(d * ldb);
+          for (double& v : a) v = rng.uniform(-2.0, 2.0);
+          for (double& v : b) v = rng.uniform(-2.0, 2.0);
+          std::vector<double> out(n * ldo, kSentinel);
+          fn(a.data(), lda, n, b.data(), ldb, m, d, out.data(), ldo);
+          for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t r = 0; r < ldo; ++r) {
+              const double want =
+                  r < m ? scalar_sq_dist(a.data() + i * lda, b.data(), ldb,
+                                         r, d)
+                        : kSentinel;
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(out[i * ldo + r]),
+                        std::bit_cast<std::uint64_t>(want))
+                  << isa::to_string(path) << " n " << n << " m " << m
+                  << " d " << d << " at (" << i << ", " << r << "): "
+                  << std::hexfloat << out[i * ldo + r] << " vs " << want;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Local search scores the 2d coordinate neighbours of a centre from the
+// centre's own distances. The training-major block must equal, bit for
+// bit, the row-major update it replaced: neighbour row r = centre with
+// coordinate r/2 moved, distances base − old² + new² floored at 0, where
+// base is the centre's scalar-loop distance.
+TEST(IsaDispatch, NeighborBlockMatchesRowMajorUpdate) {
+  for (const isa::Path path : runnable_paths()) {
+    const ScopedIsa pin(path);
+    for (const std::size_t d : {1ul, 51ul}) {
+      const std::size_t n = 61;
+      Rng rng(52);
+      Matrix x(n, d);
+      Vector y(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t k = 0; k < d; ++k) x(i, k) = rng.uniform();
+        y[i] = rng.normal();
+      }
+      gp::GpRegressor gp(gp::Kernel(gp::KernelFamily::kMatern52, d, false),
+                         1e-3);
+      gp.fit(x, y);
+      std::vector<double> cur(d);
+      for (double& v : cur) v = rng.uniform();
+      // Coordinates on the box edge exercise the clamp.
+      cur[0] = 1.0;
+      const double step = 0.1;
+      std::vector<double> moved(2 * d);
+      for (std::size_t j = 0; j < d; ++j) {
+        moved[2 * j] = std::clamp(cur[j] + step, 0.0, 1.0);
+        moved[2 * j + 1] = std::clamp(cur[j] - step, 0.0, 1.0);
+      }
+
+      // Reference: the row-major neighbour matrix and update.
+      Matrix nb(2 * d, d);
+      for (std::size_t j = 0; j < d; ++j) {
+        for (std::size_t sgn = 0; sgn < 2; ++sgn) {
+          const auto row = nb.row(2 * j + sgn);
+          for (std::size_t k = 0; k < d; ++k) row[k] = cur[k];
+          row[j] = std::clamp(row[j] + (sgn == 0 ? step : -step), 0.0, 1.0);
+        }
+      }
+      std::vector<double> base(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        base[i] = scalar_sq_dist(x.row(i).data(), cur.data(), 1, 0, d);
+      }
+
+      Matrix block;
+      gp.neighbor_sq_dists(cur, moved, block);
+      ASSERT_EQ(block.rows(), n);
+      ASSERT_EQ(block.cols(), 2 * d);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t r = 0; r < 2 * d; ++r) {
+          const std::size_t j = r / 2;
+          const double old_diff = cur[j] - x(i, j);
+          const double new_diff = nb(r, j) - x(i, j);
+          const double s =
+              base[i] - old_diff * old_diff + new_diff * new_diff;
+          const double want = s < 0.0 ? 0.0 : s;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(block(i, r)),
+                    std::bit_cast<std::uint64_t>(want))
+              << isa::to_string(path) << " d " << d << " at (" << i << ", "
+              << r << ")";
+        }
+      }
+    }
+  }
+}
+
 // The linalg micro-kernels must agree EXACTLY across paths — not within an
 // ulp bound — because the solve/factorization results feed golden tests and
 // run-to-run determinism checks that compare bits.
@@ -271,9 +392,9 @@ TEST(IsaDispatch, ConcurrentFirstUseResolvesOnce) {
 }
 
 // The fused batch prediction (one whole-buffer transform + one multi-RHS
-// solve across all candidates) must be bitwise identical to the chunked
-// reference path — on every runnable ISA path, since both go through the
-// same dispatch.
+// solve across all candidates, from the training-major distance block)
+// must be bitwise identical to the chunked predict_batch path — on every
+// runnable ISA path, since both go through the same dispatch.
 TEST(IsaDispatch, FusedPredictMatchesChunkedOnEveryPath) {
   const std::size_t n = 24, d = 3, m = 70;  // m > kPredictChunk = 64
   Rng rng(99);
@@ -299,13 +420,12 @@ TEST(IsaDispatch, FusedPredictMatchesChunkedOnEveryPath) {
       gp.fit(x, y);
 
       Matrix d2;
-      gp.unscaled_sq_dist_rows(q, 0, m, d2);
-      std::vector<gp::Prediction> chunked;
-      gp.predict_from_sq_dist_rows(d2, chunked);
+      gp.unscaled_sq_dists(q.transposed(), d2);
+      const std::vector<gp::Prediction> chunked = gp.predict_batch(q);
 
       Matrix vws;
       std::vector<double> means(m), vars(m);
-      gp.predict_mv_from_sq_dist_rows(d2, vws, means, vars);
+      gp.predict_mv_from_sq_dists(d2, vws, means, vars);
 
       ASSERT_EQ(chunked.size(), m);
       for (std::size_t r = 0; r < m; ++r) {
@@ -418,6 +538,84 @@ TEST(IsaDispatch, WindowedSuggestGoldenPortablePath) {
   }
   EXPECT_EQ(opt.window_size(), 8u);
   EXPECT_EQ(opt.num_evictions(), 10u);
+}
+
+// Default-width (512-candidate) suggest() goldens in slice and fixed hyper
+// modes, and in slice mode with an ARD kernel (the per-GP predict_rows
+// fallback, which shares no distance block), captured before the distance
+// block became training-major and lane-parallel (hexfloats, compared
+// exactly). The argmaxes here do not depend on the transform's last-ulp
+// differences between paths, so one table pins every runnable path.
+TEST(IsaDispatch, Suggest512CandidatesGoldenEveryPath) {
+#if !(defined(__x86_64__) && defined(__GLIBC__))
+  GTEST_SKIP() << "golden values pin the glibc/x86-64 vector-exp path";
+#endif
+  const double golden[3][3][4] = {
+      // slice sampling
+      {{0x1.9845d2e08a56dp-2, 0x1.7738fbb528c51p-2, 0x1.be7de0b3dc3b8p-2,
+        0x1.0ced78deaf209p-1},
+       {0x1.1bccd56e7f307p-2, 0x1.97b97a55f8e31p-2, 0x1.112018ab8a58bp-2,
+        0x1.84f8ac965ab88p-2},
+       {0x1.69df6c7a23f07p-2, 0x1.8d9f621b8f2b8p-2, 0x1.1190e48a3b62ap-1,
+        0x1.38035bf690252p-1}},
+      // fixed hyperparameters
+      {{0x1.941ef3763fe06p-2, 0x1.9557c4e7a87c2p-2, 0x1.0e60b9af7f1a6p-1,
+        0x1.4f57d6fbb23b2p-1},
+       {0x1.8eee8eb4f07fp-2, 0x1.6d1d903112e86p-2, 0x1.94effe504fa9fp-2,
+        0x1.b24e4c6bf5e99p-2},
+       {0x1.ca6081bf21ee2p-2, 0x1.dacf42c2f62e3p-3, 0x1.363b404645b0cp-1,
+        0x1.0d1b09db83c19p-1}},
+      // slice sampling, ARD kernel
+      {{0x1.9ff53fbcffe54p-2, 0x1.b3d15dbae5eb2p-2, 0x1.9caf0d7b7c076p-2,
+        0x1.240547271719ap-1},
+       {0x1.025fffaaaac9fp-1, 0x1.92540ce67e484p-2, 0x1.d3e0990e1e1ap-2,
+        0x1.8d8d1c677ef46p-1},
+       {0x1.001c740678d94p-4, 0x1.ab5768c2fbfd2p-2, 0x1.1821b0045794p-2,
+        0x1p+0}},
+  };
+  const auto f = [](const bo::ParamValues& x) {
+    double s = 0.0;
+    for (std::size_t k = 0; k < x.size(); ++k) {
+      const double c = 0.3 + 0.1 * static_cast<double>(k);
+      s -= (x[k] - c) * (x[k] - c);
+    }
+    return s;
+  };
+  for (const isa::Path path : runnable_paths()) {
+    const ScopedIsa pin(path);
+    for (int mode = 0; mode < 3; ++mode) {
+      std::vector<bo::ParamSpec> specs;
+      for (int k = 0; k < 4; ++k) {
+        specs.push_back(bo::ParamSpec::real("x" + std::to_string(k), 0.0, 1.0));
+      }
+      const bo::ParamSpace space(specs);
+      bo::BayesOptOptions opts;
+      opts.hyper_mode =
+          mode == 1 ? bo::HyperMode::kFixed : bo::HyperMode::kSliceSample;
+      opts.ard = mode == 2;
+      opts.hyper_samples = 3;
+      opts.hyper_burn_in = 3;
+      ASSERT_EQ(opts.num_candidates, 512u);
+      opts.seed = 4242;
+      bo::BayesOpt opt(space, opts);
+      Rng rng(99);
+      for (int i = 0; i < 20; ++i) {
+        auto x = space.sample(rng);
+        const double y = f(x) + 0.05 * rng.normal();
+        opt.observe(std::move(x), y);
+      }
+      for (int s = 0; s < 3; ++s) {
+        const auto x = opt.suggest();
+        ASSERT_EQ(x.size(), 4u);
+        for (int k = 0; k < 4; ++k) {
+          EXPECT_EQ(x[k], golden[mode][s][k])
+              << isa::to_string(path) << " mode " << mode << " suggest " << s
+              << " param " << k << ": " << std::hexfloat << x[k];
+        }
+        opt.observe(x, f(x));
+      }
+    }
+  }
 }
 
 }  // namespace

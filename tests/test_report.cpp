@@ -75,6 +75,22 @@ TEST(Report, ExperimentJsonRoundTrip) {
   EXPECT_EQ(back.best_config.batch_size, 4321);
 }
 
+TEST(Report, UnmeasuredBestConfigIsNull) {
+  // best_step == 0: no step measured a non-zero throughput, so there is no
+  // measured config to write — the placeholder must not look like one.
+  ExperimentResult r = demo_result();
+  r.best_step = 0;
+  r.best_throughput = 0.0;
+  r.best_rep_values.clear();
+  const Json j = experiment_to_json(r);
+  EXPECT_TRUE(j.at("best_config").is_null());
+  EXPECT_NE(j.dump(2).find("\"best_config\": null"), std::string::npos);
+  const ExperimentResult back = experiment_from_json(Json::parse(j.dump()));
+  EXPECT_EQ(back.best_step, 0u);
+  EXPECT_TRUE(back.best_config.parallelism_hints.empty());
+  EXPECT_EQ(back.best_config.batch_size, sim::TopologyConfig{}.batch_size);
+}
+
 TEST(Report, TraceCsvHasOneRowPerStep) {
   const std::string csv = trace_to_csv(demo_result());
   // Header + 5 rows.
